@@ -11,7 +11,7 @@
 // frames at the end).
 //
 // A third pass pins the backpressure contract: a deliberately undersized
-// engine queue (--nack-queue-capacity, batch size 1, cache off) makes
+// engine queue (--nack-queue-capacity, cache off) makes
 // admission fail under concurrent load, the server answers with typed
 // NACK(queue_full) frames, and call_with_retry's seeded backoff drives
 // every request to eventual completion — NACKs observed > 0, errors 0.
@@ -22,7 +22,7 @@
 // are skipped, since the remote queue depth is not ours to undersize).
 //
 // Knobs: --requests --pool --n --m --k --seed-variants (trace shape),
-// --clients, --queue-capacity --max-batch --cache-entries (local engine),
+// --clients, --queue-capacity --cache-entries (local engine),
 // --nack-queue-capacity --nack-requests --nack=false (backpressure pass),
 // --connect=host:port, --iters-small (CI-sized run), --threads, --seed.
 #include <atomic>
@@ -186,8 +186,6 @@ int main(int argc, char** argv) {
         service::EngineConfig cfg;
         cfg.queue_capacity =
             static_cast<std::size_t>(ctx.opts.get_int("queue-capacity", 256));
-        cfg.max_batch =
-            static_cast<std::size_t>(ctx.opts.get_int("max-batch", 64));
         cfg.cache.max_entries =
             static_cast<std::size_t>(ctx.opts.get_int("cache-entries", 512));
 
@@ -285,7 +283,6 @@ int main(int argc, char** argv) {
           service::EngineConfig tiny = cfg;
           tiny.queue_capacity = static_cast<std::size_t>(
               ctx.opts.get_int("nack-queue-capacity", 2));
-          tiny.max_batch = 1;
           tiny.cache.enabled = false;  // real compute per request, so the
           tiny.graph_cache_entries = 0;  // queue actually backs up
           service::TraceParams nack_tp = tp;

@@ -24,7 +24,7 @@
 //
 // Knobs: --requests --rate-gold --rate-abuse --abuse-limit-rps
 // --abuse-burst --pareto-alpha --pareto-bound --zipf-gold --zipf-abuse
-// --pool --n --m --k (trace shape), --queue-capacity --max-batch,
+// --pool --n --m --k (trace shape), --queue-capacity,
 // --p99-factor --p99-floor-ms, --iters-small, --threads, --seed.
 #include <atomic>
 #include <cstdint>
@@ -163,8 +163,6 @@ int main(int argc, char** argv) {
     service::EngineConfig cfg;
     cfg.queue_capacity = static_cast<std::size_t>(
         ctx.opts.get_int("queue-capacity", 512));
-    cfg.max_batch =
-        static_cast<std::size_t>(ctx.opts.get_int("max-batch", 16));
     cfg.qos.enabled = true;
     cfg.qos.seed = ctx.seed;
     qos::TenantConfig gold;

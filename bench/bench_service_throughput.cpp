@@ -5,8 +5,8 @@
 // request, waits for its response, then takes the next unclaimed trace
 // index.  Two passes run over the same trace — solver cache enabled and
 // disabled — so one report shows both the hit rate and what the hits buy
-// in latency.  An admission probe (filling an engine whose dispatcher
-// never drains) pins the deterministic reject-with-reason behavior of the
+// in latency.  An admission probe (filling an engine that is never
+// started, so nothing drains) pins the deterministic reject-with-reason behavior of the
 // bounded queue into the report.
 //
 // Determinism check: response payloads are byte-identical across runs,
@@ -17,7 +17,7 @@
 //
 // Knobs: --requests --pool --n --m --k --seed-variants
 // --weight-mutate (trace shape),
-// --clients --queue-capacity --max-batch --cache-entries (engine),
+// --clients --queue-capacity --cache-entries (engine),
 // --threads (solver pool), --seed, --replay-out, --replay-in,
 // --nocache=false (skip the comparison pass).
 #include <iostream>
@@ -87,8 +87,8 @@ PassResult run_pass(const service::Trace& trace, service::EngineConfig cfg,
   return result;
 }
 
-/// Deterministic admission-control probe: an engine whose dispatcher is
-/// never started admits exactly `capacity` requests and rejects the rest
+/// Deterministic admission-control probe: an engine whose serving lanes
+/// are never started admits exactly `capacity` requests and rejects the rest
 /// with kQueueFull; stop() answers the admitted ones with "shutdown".
 void admission_probe(const service::Trace& trace, BenchReport& report) {
   constexpr std::size_t kCapacity = 8;
@@ -149,8 +149,6 @@ int main(int argc, char** argv) {
         service::EngineConfig cfg;
         cfg.queue_capacity =
             static_cast<std::size_t>(ctx.opts.get_int("queue-capacity", 256));
-        cfg.max_batch =
-            static_cast<std::size_t>(ctx.opts.get_int("max-batch", 64));
         cfg.cache.max_entries =
             static_cast<std::size_t>(ctx.opts.get_int("cache-entries", 512));
 

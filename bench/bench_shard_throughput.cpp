@@ -24,7 +24,7 @@
 // JSON so client- and shard-imbalance are visible.
 //
 // Knobs: --requests --pool --n --m --k --seed-variants (trace shape),
-// --clients, --cache-entries --queue-capacity --max-batch (per-shard
+// --clients, --cache-entries --queue-capacity (per-shard
 // engine), --vnodes, --io-threads (per-shard server loops),
 // --iters-small (CI-sized run), --threads, --seed.
 #include <atomic>
@@ -226,8 +226,6 @@ int main(int argc, char** argv) {
         shard::LocalClusterConfig cc;
         cc.engine.queue_capacity =
             static_cast<std::size_t>(ctx.opts.get_int("queue-capacity", 256));
-        cc.engine.max_batch =
-            static_cast<std::size_t>(ctx.opts.get_int("max-batch", 64));
         // Per-shard cache deliberately smaller than the key set: the
         // partition, not one LRU, has to hold the working set (header).
         cc.engine.cache.max_entries = static_cast<std::size_t>(

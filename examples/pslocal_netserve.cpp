@@ -16,7 +16,7 @@
 // smoke test of the whole tier (ctest runs exactly this).
 //
 // Knobs: --host --port --duration-s --self-test=N --queue-capacity
-// --max-batch --cache-entries --max-connections --threads --seed.
+// --cache-entries --max-connections --threads --seed.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
   service::EngineConfig cfg;
   cfg.queue_capacity =
       static_cast<std::size_t>(opts.get_int("queue-capacity", 256));
-  cfg.max_batch = static_cast<std::size_t>(opts.get_int("max-batch", 64));
   cfg.cache.max_entries =
       static_cast<std::size_t>(opts.get_int("cache-entries", 512));
   service::ServiceEngine engine(cfg);

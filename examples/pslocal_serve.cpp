@@ -3,8 +3,8 @@
 // Spins up a ServiceEngine, generates (or replays) a seeded trace, and
 // prints per-request responses plus the engine's end-of-run statistics.
 // This is the smallest end-to-end tour of src/service/: admission,
-// batching, the memoizing solver cache, and deterministic replay, all
-// from one binary.  docs/service.md walks through the output.
+// serving lanes, the memoizing solver cache, and deterministic replay,
+// all from one binary.  docs/service.md walks through the output.
 //
 //   pslocal_serve --requests=40 --threads=4            # quick demo
 //   pslocal_serve --kind=greedy_maxis --requests=12    # one kind only

@@ -540,7 +540,7 @@ struct Server::Impl {
         PSL_OBS_SPAN("net.serialize");
         wire::Frame reply;
         // A deadline shed surfaces as a kRejected("shed") response from
-        // the dispatcher; on the wire it is a typed NACK with the
+        // a serving lane; on the wire it is a typed NACK with the
         // backoff hint, same contract as an admission-time shed.
         if (response.status == service::Response::Status::kRejected &&
             response.reason == "shed") {

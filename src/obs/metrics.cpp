@@ -6,9 +6,11 @@
 
 #if PSLOCAL_OBS_ENABLED
 
+#include <sys/mman.h>
+
 #include <atomic>
-#include <memory>
 #include <mutex>
+#include <new>
 #include <vector>
 
 #include "util/check.hpp"
@@ -25,43 +27,70 @@ constexpr std::size_t kMaxCounters = 256;
 constexpr std::size_t kMaxGauges = 64;
 constexpr std::size_t kMaxHistograms = 128;
 
-// One thread's private slots.  Separate heap allocation per thread and
-// 64-byte alignment keep writers off each other's cache lines ("padded
-// slots"); the atomics are only ever touched with relaxed load/store by
-// the single owning writer, plus relaxed loads from the snapshot reader.
-struct alignas(64) ThreadBlock {
-  struct ExemplarSlot {
-    std::atomic<std::uint64_t> trace_id{0};
-    std::atomic<std::uint64_t> at_ns{0};
+// One thread's private slots: plain integers, zero at birth, touched
+// only through relaxed atomic_ref load/store — by the single owning
+// writer, plus loads from the snapshot reader.  Each block is its own
+// page-aligned anonymous mapping, which keeps writers off each other's
+// cache lines ("padded slots") and costs resident memory only for the
+// pages a thread writes: most threads touch a few metrics, and only a
+// few histograms record exemplars.
+struct ThreadBlock {
+  struct Exemplar {
+    std::uint64_t trace_id;
+    std::uint64_t at_ns;
   };
 
   struct HistSlots {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> min{0};
-    std::atomic<std::uint64_t> max{0};
-    std::array<std::atomic<std::uint64_t>, HistogramSnapshot::kBuckets>
-        buckets{};
-    // Per-bucket ring of the most recent exemplar trace_ids.  The
-    // cursor is owner-only; the slots are atomics so the snapshot
-    // reader's loads are race-free.  A reader may pair a new trace_id
-    // with a stale at_ns for one in-flight write — exemplars are
-    // diagnostics, recency ordering tolerates that.
-    std::array<std::array<ExemplarSlot, HistogramSnapshot::kExemplarSlots>,
-               HistogramSnapshot::kBuckets>
-        exemplars{};
-    std::array<std::uint8_t, HistogramSnapshot::kBuckets> exemplar_cursor{};
+    std::uint64_t count;
+    std::uint64_t sum;
+    std::uint64_t min;
+    std::uint64_t max;
+    std::array<std::uint64_t, HistogramSnapshot::kBuckets> buckets;
   };
 
-  std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-  std::array<std::atomic<std::int64_t>, kMaxGauges> gauges{};
-  std::array<HistSlots, kMaxHistograms> hists{};
+  // Per-bucket ring of the most recent exemplar trace_ids.  The cursor
+  // is owner-only.  A reader may pair a new trace_id with a stale at_ns
+  // for one in-flight write — exemplars are diagnostics, recency
+  // ordering tolerates that.
+  struct ExemplarRing {
+    std::array<std::array<Exemplar, HistogramSnapshot::kExemplarSlots>,
+               HistogramSnapshot::kBuckets>
+        slots;
+    std::array<std::uint8_t, HistogramSnapshot::kBuckets> cursor;
+  };
+
+  std::array<std::uint64_t, kMaxCounters> counters;
+  std::array<std::int64_t, kMaxGauges> gauges;
+  std::array<HistSlots, kMaxHistograms> hists;
+  std::array<ExemplarRing, kMaxHistograms> exemplars;
 };
 
+// A zero-filled block whose pages are backed on first write.  The type
+// is trivial, so default-initializing placement new writes nothing.
+ThreadBlock* map_block() {
+  void* mem = mmap(nullptr, sizeof(ThreadBlock), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  PSL_CHECK_MSG(mem != MAP_FAILED, "obs: cannot map a per-thread block");
+  return new (mem) ThreadBlock;
+}
+
+void unmap_block(ThreadBlock* block) { munmap(block, sizeof(ThreadBlock)); }
+
+template <typename T>
+T load(const T& slot) {
+  return std::atomic_ref<T>(const_cast<T&>(slot))
+      .load(std::memory_order_relaxed);
+}
+
+template <typename T>
+void store(T& slot, T value) {
+  std::atomic_ref<T>(slot).store(value, std::memory_order_relaxed);
+}
+
 // Single-writer increment: relaxed load + relaxed store, no RMW.
-inline void bump(std::atomic<std::uint64_t>& slot, std::uint64_t n) {
-  slot.store(slot.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
+template <typename T>
+void bump(T& slot, T n) {
+  store(slot, static_cast<T>(load(slot) + n));
 }
 
 // Keep the kExemplarSlots newest exemplars of `have` ∪ `add` in `have`,
@@ -127,7 +156,7 @@ class Registry {
         break;
       }
     }
-    delete block;
+    unmap_block(block);
   }
 
   Snapshot snapshot() {
@@ -167,31 +196,30 @@ class Registry {
   // totals are independent of the order in which threads ran or retired.
   static void merge_block(const ThreadBlock& b, Totals& t) {
     for (std::size_t i = 0; i < kMaxCounters; ++i)
-      t.counters[i] += b.counters[i].load(std::memory_order_relaxed);
+      t.counters[i] += load(b.counters[i]);
     for (std::size_t i = 0; i < kMaxGauges; ++i)
-      t.gauges[i] += b.gauges[i].load(std::memory_order_relaxed);
+      t.gauges[i] += load(b.gauges[i]);
     for (std::size_t i = 0; i < kMaxHistograms; ++i) {
       const auto& h = b.hists[i];
-      const std::uint64_t count = h.count.load(std::memory_order_relaxed);
+      const std::uint64_t count = load(h.count);
       if (count == 0) continue;
       auto& out = t.hists[i];
-      const std::uint64_t mn = h.min.load(std::memory_order_relaxed);
-      const std::uint64_t mx = h.max.load(std::memory_order_relaxed);
+      const std::uint64_t mn = load(h.min);
+      const std::uint64_t mx = load(h.max);
       out.min = out.count == 0 ? mn : std::min(out.min, mn);
       out.max = out.count == 0 ? mx : std::max(out.max, mx);
       out.count += count;
-      out.sum += h.sum.load(std::memory_order_relaxed);
+      out.sum += load(h.sum);
       for (std::size_t k = 0; k < HistogramSnapshot::kBuckets; ++k) {
-        out.buckets[k] += h.buckets[k].load(std::memory_order_relaxed);
+        out.buckets[k] += load(h.buckets[k]);
         std::array<HistogramSnapshot::Exemplar,
                    HistogramSnapshot::kExemplarSlots>
             theirs{};
         bool any = false;
         for (std::size_t s = 0; s < HistogramSnapshot::kExemplarSlots; ++s) {
-          theirs[s].trace_id =
-              h.exemplars[k][s].trace_id.load(std::memory_order_relaxed);
-          theirs[s].at_ns =
-              h.exemplars[k][s].at_ns.load(std::memory_order_relaxed);
+          const auto& slot = b.exemplars[i].slots[k][s];
+          theirs[s].trace_id = load(slot.trace_id);
+          theirs[s].at_ns = load(slot.at_ns);
           any = any || theirs[s].trace_id != 0;
         }
         if (any) merge_exemplars(out.exemplars[k], theirs);
@@ -211,9 +239,7 @@ class Registry {
 // the retired totals when the thread exits.
 struct BlockHolder {
   ThreadBlock* block;
-  BlockHolder() : block(new ThreadBlock()) {
-    Registry::instance().attach(block);
-  }
+  BlockHolder() : block(map_block()) { Registry::instance().attach(block); }
   ~BlockHolder() { Registry::instance().retire(block); }
 };
 
@@ -235,9 +261,7 @@ Gauge::Gauge(const char* name)
     : id_(Registry::instance().register_gauge(name)) {}
 
 void Gauge::add(std::int64_t delta) const {
-  auto& slot = local_block().gauges[id_];
-  slot.store(slot.load(std::memory_order_relaxed) + delta,
-             std::memory_order_relaxed);
+  bump(local_block().gauges[id_], delta);
 }
 
 Histogram::Histogram(const char* name)
@@ -247,27 +271,27 @@ void Histogram::record(std::uint64_t value) const { record(value, 0); }
 
 void Histogram::record(std::uint64_t value,
                        std::uint64_t exemplar_trace_id) const {
-  auto& h = local_block().hists[id_];
-  const std::uint64_t count = h.count.load(std::memory_order_relaxed);
+  ThreadBlock& block = local_block();
+  auto& h = block.hists[id_];
+  const std::uint64_t count = load(h.count);
   if (count == 0) {
-    h.min.store(value, std::memory_order_relaxed);
-    h.max.store(value, std::memory_order_relaxed);
+    store(h.min, value);
+    store(h.max, value);
   } else {
-    if (value < h.min.load(std::memory_order_relaxed))
-      h.min.store(value, std::memory_order_relaxed);
-    if (value > h.max.load(std::memory_order_relaxed))
-      h.max.store(value, std::memory_order_relaxed);
+    if (value < load(h.min)) store(h.min, value);
+    if (value > load(h.max)) store(h.max, value);
   }
-  h.count.store(count + 1, std::memory_order_relaxed);
+  store(h.count, count + 1);
   bump(h.sum, value);
   const std::size_t bucket = histogram_bucket(value);
-  bump(h.buckets[bucket], 1);
+  bump(h.buckets[bucket], std::uint64_t{1});
   if (exemplar_trace_id != 0) {
-    const std::uint8_t cur = h.exemplar_cursor[bucket];
-    auto& slot = h.exemplars[bucket][cur];
-    slot.trace_id.store(exemplar_trace_id, std::memory_order_relaxed);
-    slot.at_ns.store(now_ns(), std::memory_order_relaxed);
-    h.exemplar_cursor[bucket] = static_cast<std::uint8_t>(
+    auto& ring = block.exemplars[id_];
+    const std::uint8_t cur = ring.cursor[bucket];
+    auto& slot = ring.slots[bucket][cur];
+    store(slot.trace_id, exemplar_trace_id);
+    store(slot.at_ns, now_ns());
+    ring.cursor[bucket] = static_cast<std::uint8_t>(
         (cur + 1) % HistogramSnapshot::kExemplarSlots);
   }
 }

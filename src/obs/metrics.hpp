@@ -7,12 +7,13 @@
 //    id in a process-global registry; handles with the same name share
 //    the id, so static handles in different translation units (or
 //    template instantiations) aggregate into one metric.
-//  * Every thread owns one cache-line-aligned block of slots, allocated
-//    on first use and registered with the registry.  The hot path is a
-//    relaxed load + relaxed store on the calling thread's own slot —
-//    no atomic RMW, no lock, no shared cache line between writers.
-//    (Relaxed atomics instead of plain words purely so the snapshot
-//    reader is race-free; each slot has exactly one writer.)
+//  * Every thread owns one page-aligned block of slots, mapped on first
+//    use and registered with the registry; pages the thread never
+//    writes stay unbacked.  The hot path is a relaxed load + relaxed
+//    store on the calling thread's own slot — no atomic RMW, no lock,
+//    no shared cache line between writers.  (Relaxed atomic_ref access
+//    instead of plain reads and writes purely so the snapshot reader is
+//    race-free; each slot has exactly one writer.)
 //  * snapshot() merges the retired totals of exited threads with the
 //    live blocks under the registry mutex.  All merge operations are
 //    commutative (sum / min / max), so the merged values are

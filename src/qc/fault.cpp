@@ -97,7 +97,7 @@ FaultReport run_fault_plan(const FaultPlan& plan,
   engine.start();
 
   // Phase 2 — submit everything not yet admitted; kQueueFull now just
-  // means the dispatcher has not drained yet, so retry until accepted.
+  // means the serving lanes have not drained yet, so retry until accepted.
   for (std::size_t i = 0; i < total; ++i) {
     if (accepted[i]) continue;
     for (;;) {

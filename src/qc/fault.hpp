@@ -1,9 +1,8 @@
 // Fault injection for the serving and runtime layers.
 //
 // The engine's contracts (service/engine.hpp) are strongest exactly where
-// faults hit: payload bytes must not depend on cache state, batch
-// composition or schedule, and every accepted request is answered exactly
-// once.  A FaultPlan stresses those contracts through the existing
+// faults hit: payload bytes must not depend on cache state, lane count
+// or schedule, and every accepted request is answered exactly once.  A FaultPlan stresses those contracts through the existing
 // configuration hooks — no test-only code paths in src/service/:
 //
 //  * queue-full bursts      — a tiny queue_capacity plus an admission
@@ -90,7 +89,7 @@ struct FaultReport {
 
 /// Serve `trace` under `plan` and differentially verify every response.
 /// Deterministic in (plan, trace): the admission probe happens before the
-/// dispatcher starts, and payload bytes never depend on timing.
+/// serving lanes start, and payload bytes never depend on timing.
 [[nodiscard]] FaultReport run_fault_plan(const FaultPlan& plan,
                                          const service::Trace& trace);
 

@@ -838,9 +838,11 @@ Property mis_repair_property(const FuzzOptions& opts) {
 /// the weighted-throughput-share guarantee, pinned exactly rather than
 /// asymptotically.  And the whole (config, admission schedule) -> pop
 /// sequence map is deterministic: a second queue built from the same
-/// seed pops the identical tenant sequence.  The queue is driven with a
-/// synthetic submit_ns clock and no worker threads, so the pinned
-/// sequence is byte-identical under any --threads setting.
+/// seed pops the identical tenant sequence, and a third popped one
+/// request at a time (as the engine's serving lanes pop) pops it too.
+/// The queue is driven with a synthetic submit_ns clock and no worker
+/// threads, so the pinned sequence is byte-identical under any
+/// --threads setting.
 Property qos_fairness_property() {
   return {"qos_fairness", [](Rng& rng) -> std::optional<Failure> {
             const auto fail = [](std::string msg, std::string witness) {
@@ -892,8 +894,10 @@ Property qos_fairness_property() {
             };
             qos::FairQueue q1(config, schedule.size() + 1);
             qos::FairQueue q2(config, schedule.size() + 1);
+            qos::FairQueue q3(config, schedule.size() + 1);
             if (const auto e = fill(q1)) return fail(*e, witness.str());
             if (const auto e = fill(q2)) return fail(*e, witness.str());
+            if (const auto e = fill(q3)) return fail(*e, witness.str());
 
             // One full DRR round over all-backlogged lanes.
             const std::size_t round = config.quantum * total_weight;
@@ -916,6 +920,26 @@ Property qos_fairness_property() {
               if (pop1[i].request.tenant != pop2[i].request.tenant)
                 return fail("identical queues diverged at pop " +
                                 std::to_string(i),
+                            witness.str());
+            }
+
+            // Small pops resume the round where the last one stopped:
+            // single pops across both rounds match two whole-round pops.
+            if (q1.pop_batch(pop1, round) != round)
+              return fail("second backlogged round popped short",
+                          witness.str());
+            std::vector<service::Pending> single;
+            for (std::size_t i = 0; i < 2 * round; ++i) {
+              if (q3.pop_batch(single, 1) != 1)
+                return fail("single pop " + std::to_string(i) +
+                                " returned nothing from a backlogged queue",
+                            witness.str());
+              if (single.back().request.tenant != pop1[i].request.tenant)
+                return fail("single pops diverged from whole-round pops "
+                            "at pop " + std::to_string(i) + ": tenant " +
+                                single.back().request.tenant +
+                                ", whole round gave " +
+                                pop1[i].request.tenant,
                             witness.str());
             }
             return std::nullopt;

@@ -81,25 +81,28 @@ std::size_t FairQueue::pop_batch(std::vector<service::Pending>& out,
   // Deficit round robin over the seeded visit order: each visit of a
   // backlogged lane earns quantum x weight credit; unit request cost.
   // An empty lane forfeits its carry (classic DRR — idle tenants do not
-  // bank credit while others drain).
+  // bank credit while others drain).  The cursor survives the call: a
+  // pop that fills `max` mid-visit leaves the visit open, and the next
+  // pop resumes it without a second credit — so popping a round one
+  // request at a time yields the same sequence as popping it whole.
   while (popped < max && total_ > 0) {
-    for (const std::size_t idx : order_) {
-      Lane& lane = lanes_[idx];
-      if (lane.fifo.empty()) {
-        lane.deficit = 0;
-        continue;
-      }
+    const std::size_t idx = order_[cursor_];
+    Lane& lane = lanes_[idx];
+    if (!lane.fifo.empty() && !visit_open_) {
       lane.deficit += quantum_ * registry_.config(idx).weight;
-      while (lane.deficit >= 1 && !lane.fifo.empty() && popped < max) {
-        out.push_back(std::move(lane.fifo.front()));
-        lane.fifo.pop_front();
-        lane.deficit -= 1;
-        --total_;
-        ++popped;
-      }
-      if (lane.fifo.empty()) lane.deficit = 0;
-      if (popped >= max) break;
+      visit_open_ = true;
     }
+    while (lane.deficit >= 1 && !lane.fifo.empty() && popped < max) {
+      out.push_back(std::move(lane.fifo.front()));
+      lane.fifo.pop_front();
+      lane.deficit -= 1;
+      --total_;
+      ++popped;
+    }
+    if (lane.fifo.empty()) lane.deficit = 0;
+    if (lane.deficit >= 1 && !lane.fifo.empty()) break;  // max reached
+    cursor_ = (cursor_ + 1) % order_.size();
+    visit_open_ = false;
   }
   return popped;
 }
@@ -124,6 +127,8 @@ std::size_t FairQueue::drain(std::vector<service::Pending>& out) {
     lane.deficit = 0;
   }
   total_ = 0;
+  cursor_ = 0;
+  visit_open_ = false;
   return n;
 }
 

@@ -6,7 +6,7 @@
 // (kQueueFull — identical contract to RequestQueue), the tenant's
 // optional per-lane queue bound and token bucket (kShed with a
 // deterministic retry_after_us hint), then enqueue into the tenant's
-// FIFO stamped with its deadline class.  The dispatcher's pop_batch
+// FIFO stamped with its deadline class.  The serving lanes' pop_batch
 // visits tenant lanes in a seed-fixed permutation and credits each
 // visit `quantum x weight` deficit, so backlogged tenants drain in
 // proportion to their weights — the qc `qos_fairness` property pins the
@@ -86,6 +86,10 @@ class FairQueue final : public service::AdmissionQueue {
   std::condition_variable cv_;
   std::vector<Lane> lanes_;
   std::size_t total_ = 0;
+  // DRR position, kept across pop_batch calls: the lane order_[cursor_]
+  // is being visited, and visit_open_ says it was already credited.
+  std::size_t cursor_ = 0;
+  bool visit_open_ = false;
   bool shutdown_ = false;
 };
 

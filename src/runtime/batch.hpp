@@ -1,10 +1,10 @@
-// Batch task submission — the hook the serving engine (src/service/)
-// uses to fan a batch of *heterogeneous* independent jobs onto a
-// Scheduler.
+// Batch task submission — fans a batch of *heterogeneous* independent
+// jobs onto a Scheduler (perfbench's payload verification and layer
+// replay use it; the serving engine runs one request per lane instead).
 //
 // run_chunks is an index-space primitive: it assumes the work is a loop
-// over [0, n).  A service batch is the other shape — a short vector of
-// distinct closures (one per unique cache miss) with wildly different
+// over [0, n).  A task batch is the other shape — a short vector of
+// distinct closures (say, one per cache miss) with wildly different
 // costs.  run_task_batch maps each task to a one-element chunk (grain 1)
 // so the work-stealing pool can rebalance whole tasks between lanes,
 // while keeping the Scheduler contract: each task runs exactly once, and

@@ -22,7 +22,9 @@
 //    chunks are drained without running their bodies, and the exception
 //    is rethrown on the caller.  The pool stays usable afterwards.
 //  * Nested parallelism: run_chunks from inside a worker runs the inner
-//    region sequentially inline (no deadlock, no oversubscription).
+//    region sequentially inline (no deadlock, no oversubscription).  A
+//    thread outside the pool opts into the same rule with an
+//    InlineRegionScope.
 #pragma once
 
 #include <atomic>
@@ -38,6 +40,24 @@
 #include "runtime/scheduler.hpp"
 
 namespace pslocal::runtime {
+
+/// While alive, every run_chunks this thread calls, on any ThreadPool,
+/// runs its region sequentially inline, exactly as a nested region does
+/// on a pool worker.  For threads that each run one whole task beside
+/// the pool (the serving engine's lanes): their solver regions neither
+/// queue on the pool's submit lock nor compete with its workers, and
+/// results stay bit-identical (inline is the 1-lane schedule).
+class InlineRegionScope {
+ public:
+  InlineRegionScope();
+  ~InlineRegionScope();
+
+  InlineRegionScope(const InlineRegionScope&) = delete;
+  InlineRegionScope& operator=(const InlineRegionScope&) = delete;
+
+ private:
+  bool outer_;  // the thread's previous setting, restored on exit
+};
 
 class ThreadPool final : public Scheduler {
  public:

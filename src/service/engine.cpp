@@ -1,11 +1,14 @@
 #include "service/engine.hpp"
 
+#include <algorithm>
 #include <exception>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "runtime/batch.hpp"
+#include "runtime/thread_pool.hpp"
 #include "service/stages.hpp"
 #include "util/hash.hpp"
 #include "util/timer.hpp"
@@ -53,7 +56,11 @@ void ServiceEngine::start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (started_ || stopped_) return;
   started_ = true;
-  dispatcher_ = std::thread([this] { dispatcher_main(); });
+  const std::size_t lanes = sched_->thread_count();
+  inflight_.reserve(lanes);
+  lanes_.reserve(lanes);
+  for (std::size_t i = 0; i < lanes; ++i)
+    lanes_.emplace_back([this, i] { lane_main(i); });
 }
 
 void ServiceEngine::stop(StopMode mode) {
@@ -65,7 +72,7 @@ void ServiceEngine::stop(StopMode mode) {
   if (mode == StopMode::kReject)
     reject_drained_.store(true, std::memory_order_release);
   queue_->shutdown();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& lane : lanes_) lane.join();
   // Anything still queued was never dispatched (engine not started, or
   // raced the shutdown): answer it rather than abandoning the future.
   std::vector<Pending> stragglers;
@@ -115,163 +122,146 @@ ServiceEngine::Submitted ServiceEngine::submit(Request request) {
   return out;
 }
 
-void ServiceEngine::dispatcher_main() {
-  obs::set_thread_label(config_.name + ".dispatcher");
-  std::vector<Pending> drained;
+struct ServiceEngine::Outcome {
+  std::string payload;
+  std::string error;  // non-empty: the solver threw
+  std::uint64_t compute_ns = 0;
+};
+
+void ServiceEngine::lane_main(std::size_t lane) {
+  obs::set_thread_label(config_.name + ".lane" + std::to_string(lane));
+  // The lane runs one whole request at a time; its solver's parallel
+  // regions run inline here, like a nested region on a pool worker.
+  const runtime::InlineRegionScope inline_regions;
+  std::vector<Pending> popped;
   for (;;) {
-    drained.clear();
-    const std::size_t n = queue_->pop_batch(drained, config_.max_batch);
-    if (n == 0) return;  // shutdown and empty
+    popped.clear();
+    if (queue_->pop_batch(popped, 1) == 0) return;  // shutdown and empty
+    Pending& pending = popped.front();
+    pending.dispatch_ns = now_ns();
     if (reject_drained_.load(std::memory_order_acquire)) {
-      reject_all(drained, "shutdown");
+      reject_all(popped, "shutdown");
       continue;
     }
-    if (fair_queue_ != nullptr) {
-      shed_expired(drained);
-      if (drained.empty()) continue;
-    }
+    if (fair_queue_ != nullptr && shed_if_expired(pending)) continue;
     dispatch_cycles_.fetch_add(1, std::memory_order_relaxed);
-    serve_cycle(drained);
+    serve(pending);
   }
 }
 
-void ServiceEngine::shed_expired(std::vector<Pending>& drained) {
+bool ServiceEngine::shed_if_expired(Pending& pending) {
   // Deadline-aware shedding: a request that already blew its tenant's
   // deadline class gets a shed answer now instead of burning solver
   // time that cannot help it.  The net tier turns the response into a
   // kShedRetryAfter NACK carrying retry_after_us.
-  const std::uint64_t now = now_ns();
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < drained.size(); ++i) {
-    Pending& pending = drained[i];
-    if (pending.deadline_ns != 0 && now > pending.deadline_ns) {
-      const qos::TenantConfig& cfg =
-          fair_queue_->registry().config(pending.tenant);
-      Response resp;
-      resp.id = pending.request.id;
-      resp.status = Response::Status::kRejected;
-      resp.reason = "shed";
-      resp.retry_after_us = cfg.deadline_ms * 1000;
-      resp.total_ns = now - pending.submit_ns;
-      fair_queue_->record_deadline_shed(pending.tenant);
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-      pending.promise.set_value(std::move(resp));
-      continue;
-    }
-    if (kept != i) drained[kept] = std::move(pending);
-    ++kept;
-  }
-  drained.resize(kept);
+  if (pending.deadline_ns == 0 || pending.dispatch_ns <= pending.deadline_ns)
+    return false;
+  const qos::TenantConfig& cfg =
+      fair_queue_->registry().config(pending.tenant);
+  Response resp;
+  resp.id = pending.request.id;
+  resp.status = Response::Status::kRejected;
+  resp.reason = "shed";
+  resp.retry_after_us = cfg.deadline_ms * 1000;
+  resp.total_ns = pending.dispatch_ns - pending.submit_ns;
+  fair_queue_->record_deadline_shed(pending.tenant);
+  shed_.fetch_add(1, std::memory_order_relaxed);
+  shed_deadline_.fetch_add(1, std::memory_order_relaxed);
+  pending.promise.set_value(std::move(resp));
+  return true;
 }
 
-void ServiceEngine::serve_cycle(std::vector<Pending>& drained) {
-  PSL_OBS_SPAN("service.cycle");
-  const std::uint64_t dispatch_ns = now_ns();
-  const std::vector<Batch> batches = form_batches(drained);
-  stages::record_batch_form(now_ns() - dispatch_ns);
-  batches_.fetch_add(batches.size(), std::memory_order_relaxed);
-  g_batches.add(batches.size());
-
-  // Per-batch outcome, filled by cache lookups then the compute fan-out.
-  struct Outcome {
-    std::string payload;
-    std::string error;
-    std::uint64_t compute_ns = 0;
-    bool from_cache = false;
+void ServiceEngine::serve(Pending& pending) {
+  const Request& req = pending.request;
+  const std::uint64_t key = cache_key(req);
+  // Claim the key, or park on the lane already computing it.  The probe
+  // below runs after the claim, so a compute that finished in between
+  // has already filled the cache: one compute per key at any timing.
+  const auto in_flight = [this, key] {
+    return std::find_if(inflight_.begin(), inflight_.end(),
+                        [key](const InFlight& f) { return f.key == key; });
   };
-  std::vector<Outcome> outcomes(batches.size());
-
-  std::vector<std::size_t> miss_batches;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    const Request& front = drained[batches[b].members.front()].request;
-    const std::uint64_t probe_ns = now_ns();
-    if (auto hit = cache_.lookup(batches[b].key)) {
-      outcomes[b].payload = std::move(*hit);
-      outcomes[b].from_cache = true;
-    } else {
-      miss_batches.push_back(b);
-    }
-    stages::record(stages::Stage::kCacheProbe, front.kind,
-                   now_ns() - probe_ns, front.trace_id);
-  }
-
-  // One task per distinct missing key; heterogeneous costs, so let the
-  // work-stealing pool rebalance whole tasks (runtime/batch.hpp).  Each
-  // task writes only its own outcome slot.
   {
-    PSL_OBS_SPAN("service.compute");
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(miss_batches.size());
-    for (const std::size_t b : miss_batches) {
-      tasks.push_back([this, b, &batches, &drained, &outcomes] {
-        Outcome& out = outcomes[b];
-        const Request& req = drained[batches[b].members.front()].request;
-        // Adopt the request's wire trace context on the worker thread,
-        // so the solve span nests under the client's root span even
-        // though it runs far from the io loop that read the frame.
-        obs::ScopedTraceContext trace_ctx(req.trace_id, req.parent_span_id);
-        PSL_OBS_SPAN("service.solve");
-        const std::uint64_t t0 = now_ns();
-        try {
-          out.payload = execute_request(req, *sched_, &graph_cache_,
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    const auto flight = in_flight();
+    if (flight != inflight_.end()) {
+      flight->parked.push_back(std::move(pending));
+      return;
+    }
+    inflight_.push_back(InFlight{key, {}});
+  }
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  g_batches.add();
+
+  Outcome outcome;
+  const std::uint64_t probe_ns = now_ns();
+  std::optional<std::string> hit = cache_.lookup(key);
+  stages::record(stages::Stage::kCacheProbe, req.kind, now_ns() - probe_ns,
+                 req.trace_id);
+  if (hit) {
+    outcome.payload = std::move(*hit);
+  } else {
+    // Adopt the request's wire trace context on the lane, so the solve
+    // span nests under the client's root span even though it runs far
+    // from the io loop that read the frame.
+    obs::ScopedTraceContext trace_ctx(req.trace_id, req.parent_span_id);
+    PSL_OBS_SPAN("service.solve");
+    const std::uint64_t t0 = now_ns();
+    try {
+      outcome.payload = execute_request(req, *sched_, &graph_cache_,
                                         &sessions_);
-        } catch (const std::exception& e) {
-          out.error = e.what();
-        }
-        out.compute_ns = now_ns() - t0;
-        stages::record(stages::Stage::kSolve, req.kind, out.compute_ns,
-                       req.trace_id);
-      });
+    } catch (const std::exception& e) {
+      outcome.error = e.what();
     }
-    runtime::run_task_batch(*sched_, tasks);
+    outcome.compute_ns = now_ns() - t0;
+    stages::record(stages::Stage::kSolve, req.kind, outcome.compute_ns,
+                   req.trace_id);
+    if (outcome.error.empty()) cache_.insert(key, outcome.payload);
   }
 
-  for (const std::size_t b : miss_batches) {
-    if (outcomes[b].error.empty())
-      cache_.insert(batches[b].key, outcomes[b].payload);
+  // Release the claim and take whatever parked on it meanwhile.
+  std::vector<Pending> parked;
+  {
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    const auto flight = in_flight();
+    parked = std::move(flight->parked);
+    inflight_.erase(flight);
   }
+  answer(pending, key, outcome, hit.has_value());
+  for (Pending& p : parked) answer(p, key, outcome, true);
+}
 
-  // Fulfill every promise in arrival order.  Within a miss batch, the
-  // first member pays the compute; later members are batch-memoized hits.
-  std::vector<bool> key_served_before(batches.size(), false);
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    const Batch& batch = batches[b];
-    Outcome& out = outcomes[b];
-    for (const std::size_t member : batch.members) {
-      Pending& pending = drained[member];
-      Response resp;
-      resp.id = pending.request.id;
-      resp.key = batch.key;
-      resp.queue_ns = dispatch_ns - pending.submit_ns;
-      if (!out.error.empty()) {
-        resp.status = Response::Status::kError;
-        resp.reason = out.error;
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        g_errors.add();
-      } else {
-        resp.status = Response::Status::kOk;
-        resp.result = out.payload;
-        resp.cache_hit = out.from_cache || key_served_before[b];
-        if (!resp.cache_hit) resp.compute_ns = out.compute_ns;
-      }
-      key_served_before[b] = true;
-      resp.total_ns = now_ns() - pending.submit_ns;
-      g_latency_ns.record(resp.total_ns);
-      if (!tenant_latency_.empty())
-        tenant_latency_[pending.tenant].record(resp.total_ns,
-                                               pending.request.trace_id);
-      g_queue_ns.record(resp.queue_ns);
-      if (resp.compute_ns != 0) g_compute_ns.record(resp.compute_ns);
-      served_.fetch_add(1, std::memory_order_relaxed);
-      g_served.add();
-      if (resp.cache_hit) {
-        served_cached_.fetch_add(1, std::memory_order_relaxed);
-        g_served_cached.add();
-      }
-      pending.promise.set_value(std::move(resp));
-    }
+void ServiceEngine::answer(Pending& pending, std::uint64_t key,
+                           const Outcome& outcome, bool cache_hit) {
+  Response resp;
+  resp.id = pending.request.id;
+  resp.key = key;
+  resp.queue_ns = pending.dispatch_ns - pending.submit_ns;
+  if (!outcome.error.empty()) {
+    resp.status = Response::Status::kError;
+    resp.reason = outcome.error;
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    g_errors.add();
+  } else {
+    resp.status = Response::Status::kOk;
+    resp.result = outcome.payload;
+    resp.cache_hit = cache_hit;
+    if (!cache_hit) resp.compute_ns = outcome.compute_ns;
   }
+  resp.total_ns = now_ns() - pending.submit_ns;
+  g_latency_ns.record(resp.total_ns);
+  if (!tenant_latency_.empty())
+    tenant_latency_[pending.tenant].record(resp.total_ns,
+                                           pending.request.trace_id);
+  g_queue_ns.record(resp.queue_ns);
+  if (resp.compute_ns != 0) g_compute_ns.record(resp.compute_ns);
+  served_.fetch_add(1, std::memory_order_relaxed);
+  g_served.add();
+  if (resp.cache_hit) {
+    served_cached_.fetch_add(1, std::memory_order_relaxed);
+    g_served_cached.add();
+  }
+  pending.promise.set_value(std::move(resp));
 }
 
 void ServiceEngine::reject_all(std::vector<Pending>& pendings,

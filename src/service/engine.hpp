@@ -1,14 +1,21 @@
-// ServiceEngine — the in-process batched query-serving engine.
+// ServiceEngine — the in-process query-serving engine.
 //
 // Wiring (docs/service.md has the full walkthrough):
 //
-//   clients --submit--> RequestQueue --pop_batch--> dispatcher thread
-//                                         |  form_batches (same cache key)
-//                                         |  SolverCache lookup per batch
-//                                         |  misses: run_task_batch on the
-//                                         |    runtime::Scheduler, one task
-//                                         |    per distinct missing key
-//                                         '--> fulfill promises (FIFO)
+//   clients --submit--> RequestQueue --pop one--> serving lane (x N)
+//                                        |  claim the key, or park on the
+//                                        |    lane already computing it
+//                                        |  SolverCache probe
+//                                        |  hit:  answer now
+//                                        |  miss: compute inline, cache,
+//                                        |        answer + parked requests
+//                                        '--> each answer as soon as it
+//                                             is ready
+//
+// N is the scheduler's thread_count(): one lane under the default 1-lane
+// global pool.  A lane runs its solver's parallel regions inline (as a
+// pool worker runs nested regions), so N lanes compute N distinct misses
+// at once and a hit never waits behind a miss on another lane.
 //
 // Contract highlights:
 //
@@ -18,13 +25,16 @@
 //    (reason "shutdown") if the engine stopped first.  Every accepted
 //    request is answered exactly once; no future is ever abandoned.
 //
+//  * One compute per key: while a lane computes a key, requests for the
+//    same key park on that compute and are answered from it as hits.
+//
 //  * Response payloads are byte-deterministic: for a fixed request
-//    content they are identical across runs, thread counts, batch
-//    compositions and cache states.  Hit/miss *timing* varies; bytes do
+//    content they are identical across runs, thread counts, lane
+//    schedules and cache states.  Hit/miss *timing* varies; bytes do
 //    not.  This is what --replay-in compares (service/workload.hpp).
 //
-//  * An engine is constructed stopped.  start() launches the dispatcher;
-//    an engine that is never started still admits requests (up to queue
+//  * An engine is constructed stopped.  start() launches the lanes; an
+//    engine that is never started still admits requests (up to queue
 //    capacity — the deterministic admission-probe used by tests) and
 //    rejects them with "shutdown" at stop()/destruction.
 #pragma once
@@ -33,12 +43,13 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "qos/fair_queue.hpp"
 #include "runtime/global.hpp"
-#include "service/batcher.hpp"
 #include "service/cache.hpp"
 #include "service/queue.hpp"
 #include "service/request.hpp"
@@ -48,15 +59,15 @@ namespace pslocal::service {
 
 struct EngineConfig {
   std::size_t queue_capacity = 256;
-  std::size_t max_batch = 64;  // requests drained per dispatch cycle
   SolverCache::Config cache;   // result cache (enabled by default)
   std::size_t graph_cache_entries = 64;  // built G_k objects (0 = off)
   std::size_t mutation_sessions = 8;     // stored mutate states (0 = off)
-  /// Execution backend for solver batches; nullptr = the global pool.
+  /// Execution backend handed to the solvers, and the lane count
+  /// (its thread_count()); nullptr = the global pool.
   runtime::Scheduler* scheduler = nullptr;
-  /// Identity in traces: the dispatcher thread is labelled
-  /// "<name>.dispatcher" (its Perfetto track name), so a multi-engine
-  /// process — one engine per shard in LocalCluster — reads cleanly.
+  /// Identity in traces: lane i is labelled "<name>.lane<i>" (its
+  /// Perfetto track name), so a multi-engine process — one engine per
+  /// shard in LocalCluster — reads cleanly.
   std::string name = "engine";
   /// Multi-tenant QoS (docs/qos.md).  enabled replaces the single
   /// RequestQueue with a qos::FairQueue over `qos.tenants`; off keeps
@@ -72,23 +83,24 @@ class ServiceEngine {
   ServiceEngine(const ServiceEngine&) = delete;
   ServiceEngine& operator=(const ServiceEngine&) = delete;
 
-  /// Launch the dispatcher thread (idempotent; no-op after stop()).
+  /// Launch the serving lanes (idempotent; no-op after stop()).
   void start();
 
   /// What happens to already-admitted, not-yet-served requests at stop.
   enum class StopMode : std::uint8_t {
-    /// Graceful drain: the dispatcher keeps serving until the queue is
-    /// empty, so every admitted request gets its real answer (kOk or
-    /// kError).  Only requests the dispatcher never saw (engine not
-    /// started) are rejected with "shutdown".
+    /// Graceful drain: the lanes keep serving until the queue is empty,
+    /// so every admitted request gets its real answer (kOk or kError).
+    /// Only requests no lane ever saw (engine not started) are rejected
+    /// with "shutdown".
     kDrain,
     /// Fast shutdown: queued-but-undispatched requests are answered
-    /// kRejected("shutdown") instead of being served.  Requests whose
-    /// batch is already executing still complete normally.
+    /// kRejected("shutdown") instead of being served.  Requests a lane
+    /// already popped (computing, or parked on a compute) still
+    /// complete normally.
     kReject,
   };
 
-  /// Stop admitting and shut the dispatcher down under `mode` (default:
+  /// Stop admitting and shut the lanes down under `mode` (default:
   /// graceful drain — the pinned contract is that stop() never discards
   /// an admitted request's answer).  Every admitted request is answered
   /// exactly once under either mode.  Idempotent; the destructor calls
@@ -120,10 +132,12 @@ class ServiceEngine {
     std::uint64_t shed = 0;
     std::uint64_t shed_deadline = 0;
     std::uint64_t served = 0;        // responses fulfilled (kOk or kError)
-    std::uint64_t served_cached = 0; // of which cache_hit (cache or batch)
+    std::uint64_t served_cached = 0; // of which cache_hit (cache, or
+                                     // parked on another lane's compute)
     std::uint64_t errors = 0;
-    std::uint64_t batches = 0;       // distinct-key groups executed
-    std::uint64_t dispatch_cycles = 0;
+    std::uint64_t batches = 0;       // key groups: cache probes, each
+                                     // answering itself + parked requests
+    std::uint64_t dispatch_cycles = 0;  // requests popped to be served
     std::size_t queue_capacity = 0;  // admission bound (self-describing
                                      // overload scrapes)
     SolverCache::Stats cache;
@@ -138,9 +152,20 @@ class ServiceEngine {
   [[nodiscard]] const EngineConfig& config() const { return config_; }
 
  private:
-  void dispatcher_main();
-  void serve_cycle(std::vector<Pending>& drained);
-  void shed_expired(std::vector<Pending>& drained);
+  /// A key one lane is computing.  Requests for it that other lanes pop
+  /// meanwhile park here and are answered from that compute.
+  struct InFlight {
+    std::uint64_t key = 0;
+    std::vector<Pending> parked;
+  };
+  /// Result of one probe-or-compute, shared by every request of a key.
+  struct Outcome;
+
+  void lane_main(std::size_t lane);
+  void serve(Pending& pending);
+  [[nodiscard]] bool shed_if_expired(Pending& pending);
+  void answer(Pending& pending, std::uint64_t key, const Outcome& outcome,
+              bool cache_hit);
   void reject_all(std::vector<Pending>& pendings, const char* reason);
 
   EngineConfig config_;
@@ -155,15 +180,16 @@ class ServiceEngine {
   SolverCache cache_;
   ConflictGraphCache graph_cache_;
   MutationSessionStore sessions_;
-  std::thread dispatcher_;
+  std::mutex inflight_mu_;
+  std::vector<InFlight> inflight_;  // at most one entry per lane
   bool started_ = false;  // guarded by lifecycle_mu_
   bool stopped_ = false;
   std::mutex lifecycle_mu_;
-  /// StopMode::kReject was requested: the dispatcher rejects drained
-  /// batches instead of serving them.
+  /// StopMode::kReject was requested: lanes reject what they pop
+  /// instead of serving it.
   std::atomic<bool> reject_drained_{false};
 
-  // Dispatcher-side tallies (written by one thread, read via stats()).
+  // Tallies (written by submitters and lanes, read via stats()).
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> rejected_full_{0};
@@ -175,6 +201,8 @@ class ServiceEngine {
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> dispatch_cycles_{0};
+  // Last: the lanes use every member above (stop() joins them).
+  std::vector<std::thread> lanes_;
 };
 
 /// Canonical single-line JSON of an engine stats snapshot (stable key

@@ -1,8 +1,8 @@
 // Bounded MPMC request queue with admission control.
 //
 // The serving front door: any number of client threads try_push pending
-// requests; the engine's dispatcher pops them in FIFO order, up to a
-// batch at a time.  Admission is non-blocking and total — a push either
+// requests; the engine's serving lanes pop them in FIFO order, one at a
+// time.  Admission is non-blocking and total — a push either
 // enters the queue or is rejected *now* with a reason (kQueueFull,
 // kShutdown); clients implement their own retry policy.  Rejection is a
 // pure function of queue state, so for a serial submission schedule the
@@ -47,6 +47,7 @@ struct Pending {
   Request request;
   std::promise<Response> promise;
   std::uint64_t submit_ns = 0;    // now_ns() at admission
+  std::uint64_t dispatch_ns = 0;  // now_ns() when a serving lane popped it
   std::size_t tenant = 0;         // registry index (0 = default tenant)
   std::uint64_t deadline_ns = 0;  // absolute deadline; 0 = none
 };

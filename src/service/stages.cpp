@@ -53,10 +53,4 @@ void record(Stage stage, RequestKind kind, std::uint64_t value,
   stage_histogram(stage, kind).record(value, exemplar_trace_id);
 }
 
-void record_batch_form(std::uint64_t ns) {
-  if constexpr (!obs::kEnabled) return;
-  static const obs::Histogram hist("service.stage.batch_form_ns");
-  hist.record(ns);
-}
-
 }  // namespace pslocal::service::stages

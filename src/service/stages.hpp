@@ -7,15 +7,14 @@
 //
 //   admission_wait_ns  inside ServiceEngine::submit (lock + queue push)
 //   queue_depth        queue depth observed at admission (a count)
-//   cache_probe_ns     SolverCache lookup for the request's batch
+//   cache_probe_ns     SolverCache lookup on a serving lane (one per key
+//                      claim; parked same-key requests do not probe)
 //   solve_ns           solver execution (cache misses only)
 //   serialize_ns       response payload + frame encode (net completer)
 //   wire_write_ns      response enqueue -> last byte handed to the socket
 //   rtt_ns             client send -> response decoded (per attempt winner)
 //
-// plus the kind-agnostic `service.stage.batch_form_ns` (one value per
-// dispatch cycle — batches mix kinds).  All calls compile to no-ops
-// under -DPSLOCAL_OBS=OFF.
+// All calls compile to no-ops under -DPSLOCAL_OBS=OFF.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +42,5 @@ inline constexpr std::size_t kStageCount = 7;
 /// exemplar_trace_id is retained as a tail exemplar for value's bucket.
 void record(Stage stage, RequestKind kind, std::uint64_t value,
             std::uint64_t exemplar_trace_id = 0);
-
-/// Record one dispatch cycle's batch-formation time (kind-agnostic).
-void record_batch_form(std::uint64_t ns);
 
 }  // namespace pslocal::service::stages

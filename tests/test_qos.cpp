@@ -2,7 +2,9 @@
 // admission (DRR exactness, lane bounds, deadline stamping), the engine
 // integration (shed verdicts with backoff hints, deadline sheds at
 // dispatch, the stats surface), and the end-to-end typed-NACK contract
-// over real sockets.  All suites match the TSan CI filter `*Qos*`.
+// over real sockets.  QosEngineMultiLaneTest reruns the engine cases on
+// a 4-lane pool (4 serving lanes).  All suites match the TSan CI filter
+// `*Qos*`.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,6 +16,7 @@
 #include "net/server.hpp"
 #include "qos/fair_queue.hpp"
 #include "qos/tenant.hpp"
+#include "runtime/thread_pool.hpp"
 #include "service/engine.hpp"
 #include "service/workload.hpp"
 #include "util/json.hpp"
@@ -130,6 +133,46 @@ TEST(QosFairQueueTest, DrrRoundServesQuantumTimesWeightPerBackloggedLane) {
   q.shutdown();
 }
 
+TEST(QosFairQueueTest, SinglePopsResumeTheRoundInsteadOfRestartingIt) {
+  // Serving lanes pop one request at a time.  Each pop must continue
+  // the DRR round where the previous one stopped: two weight-1 tenants
+  // at quantum 4 alternate in runs of four, whether popped one by one
+  // or sixteen at once, and no deficit grows past one visit's credit.
+  qos::QosConfig config;
+  config.enabled = true;
+  config.quantum = 4;
+  qos::TenantConfig a;
+  a.name = "a";
+  qos::TenantConfig b;
+  b.name = "b";
+  config.tenants = {a, b};
+  qos::FairQueue whole(config, 64), single(config, 64);
+  std::uint64_t clock = 1;
+  for (const char* tenant : {"a", "b"})
+    for (int i = 0; i < 8; ++i, ++clock) {
+      ASSERT_EQ(whole.admit(make_pending(tenant, clock)).admission,
+                Admission::kAccepted);
+      ASSERT_EQ(single.admit(make_pending(tenant, clock)).admission,
+                Admission::kAccepted);
+    }
+  std::vector<Pending> all, one;
+  ASSERT_EQ(whole.pop_batch(all, 16), 16u);
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_EQ(single.pop_batch(one, 1), 1u);
+    for (const auto& lane : single.tenant_stats())
+      EXPECT_LE(lane.deficit, config.quantum);
+  }
+  std::string whole_order, single_order;
+  for (const Pending& p : all) whole_order += p.request.tenant;
+  for (const Pending& p : one) single_order += p.request.tenant;
+  EXPECT_EQ(single_order, whole_order);
+  const bool a_first = whole_order.front() == 'a';
+  EXPECT_EQ(whole_order,
+            a_first ? "aaaabbbbaaaabbbb" : "bbbbaaaabbbbaaaa");
+  whole.shutdown();
+  single.shutdown();
+}
+
 TEST(QosFairQueueTest, GlobalCapacityBoundIsQueueFullNotShed) {
   qos::FairQueue q(two_tenant_config(), 2);
   EXPECT_EQ(q.admit(make_pending("a", 1)).admission, Admission::kAccepted);
@@ -230,11 +273,18 @@ service::Trace qos_trace() {
   return service::generate_trace(tp);
 }
 
-TEST(QosEngineTest, ShedVerdictCarriesHintAndAcceptedBytesStayPure) {
+/// Engine config on `sched` (nullptr: the global pool).
+service::EngineConfig on_scheduler(runtime::Scheduler* sched) {
+  service::EngineConfig cfg;
+  cfg.scheduler = sched;
+  return cfg;
+}
+
+void check_shed_verdict(runtime::Scheduler* sched) {
   const service::Trace trace = qos_trace();
 
   // Reference bytes from a qos-off engine (no tenant field at all).
-  service::ServiceEngine ref{service::EngineConfig{}};
+  service::ServiceEngine ref{on_scheduler(sched)};
   ref.start();
   auto ref_sub = ref.submit(trace.requests[0]);
   ASSERT_EQ(ref_sub.admission, Admission::kAccepted);
@@ -242,7 +292,7 @@ TEST(QosEngineTest, ShedVerdictCarriesHintAndAcceptedBytesStayPure) {
   EXPECT_FALSE(ref.stats().qos_enabled);
   EXPECT_TRUE(ref.stats().qos_tenants.empty());
 
-  service::EngineConfig cfg;
+  service::EngineConfig cfg = on_scheduler(sched);
   cfg.qos.enabled = true;
   qos::TenantConfig t;
   t.name = "t";
@@ -273,9 +323,18 @@ TEST(QosEngineTest, ShedVerdictCarriesHintAndAcceptedBytesStayPure) {
   engine.stop();
 }
 
-TEST(QosEngineTest, PastDeadlineRequestIsShedAtDispatchNotServed) {
+TEST(QosEngineTest, ShedVerdictCarriesHintAndAcceptedBytesStayPure) {
+  check_shed_verdict(nullptr);
+}
+
+TEST(QosEngineMultiLaneTest, ShedVerdictCarriesHintAndAcceptedBytesStayPure) {
+  runtime::ThreadPool pool(4);
+  check_shed_verdict(&pool);
+}
+
+void check_deadline_shed(runtime::Scheduler* sched) {
   const service::Trace trace = qos_trace();
-  service::EngineConfig cfg;
+  service::EngineConfig cfg = on_scheduler(sched);
   cfg.qos.enabled = true;
   qos::TenantConfig t;
   t.name = "slo";
@@ -288,8 +347,8 @@ TEST(QosEngineTest, PastDeadlineRequestIsShedAtDispatchNotServed) {
   auto sub = engine.submit(probe);
   ASSERT_EQ(sub.admission, Admission::kAccepted);
   // Let the 1ms deadline class expire while the request is queued, then
-  // start the dispatcher: it must answer with a shed, not burn solver
-  // time on an answer nobody is waiting for.
+  // start the lanes: they must answer with a shed, not burn solver time
+  // on an answer nobody is waiting for.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   engine.start();
   const service::Response resp = sub.response.get();
@@ -306,8 +365,17 @@ TEST(QosEngineTest, PastDeadlineRequestIsShedAtDispatchNotServed) {
   engine.stop();
 }
 
-TEST(QosEngineTest, StatsJsonCarriesTheQosBlock) {
-  service::EngineConfig cfg;
+TEST(QosEngineTest, PastDeadlineRequestIsShedAtDispatchNotServed) {
+  check_deadline_shed(nullptr);
+}
+
+TEST(QosEngineMultiLaneTest, PastDeadlineRequestIsShedAtDispatchNotServed) {
+  runtime::ThreadPool pool(4);
+  check_deadline_shed(&pool);
+}
+
+void check_stats_json_qos_block(runtime::Scheduler* sched) {
+  service::EngineConfig cfg = on_scheduler(sched);
   cfg.queue_capacity = 99;
   cfg.qos.enabled = true;
   qos::TenantConfig t;
@@ -328,10 +396,19 @@ TEST(QosEngineTest, StatsJsonCarriesTheQosBlock) {
 
   // QoS off: the block stays present (scrapers need a stable shape) but
   // reports disabled with no tenant lanes.
-  service::ServiceEngine off{service::EngineConfig{}};
+  service::ServiceEngine off{on_scheduler(sched)};
   const json::Value off_doc = json::parse(service::stats_json(off.stats()));
   EXPECT_EQ(off_doc.at("qos").at("enabled").as_number(), 0.0);
   EXPECT_TRUE(off_doc.at("qos").at("tenants").as_array().empty());
+}
+
+TEST(QosEngineTest, StatsJsonCarriesTheQosBlock) {
+  check_stats_json_qos_block(nullptr);
+}
+
+TEST(QosEngineMultiLaneTest, StatsJsonCarriesTheQosBlock) {
+  runtime::ThreadPool pool(4);
+  check_stats_json_qos_block(&pool);
 }
 
 TEST(QosNetTest, ShedBecomesTypedNackWithBackoffHint) {

@@ -1,10 +1,16 @@
 // service/engine + workload: end-to-end serving determinism, admission
-// control, shutdown semantics, batching memoization, and replay files.
+// control, shutdown semantics, one compute per key across serving lanes,
+// and replay files.  The ServiceEngineMultiLaneTest suite reruns the
+// concurrency, shutdown, cache-total and replay cases on a 4-lane pool
+// (4 serving lanes); the default config runs one lane.
 #include "service/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -44,6 +50,75 @@ std::vector<ReplayEntry> serve_all(const Trace& trace,
   return entries;
 }
 
+EngineConfig on_scheduler(runtime::Scheduler& sched) {
+  EngineConfig cfg;
+  cfg.scheduler = &sched;
+  return cfg;
+}
+
+/// Runs every region inline, like SequentialScheduler, but holds each
+/// region at a gate while closed: a miss that reaches its first parallel
+/// region stalls there until open(), so "a lane is computing" becomes a
+/// state a test can hold.  Reports `lanes` as its thread count, which is
+/// the number of serving lanes an engine on it runs.
+class GateScheduler final : public runtime::Scheduler {
+ public:
+  explicit GateScheduler(std::size_t lanes) : lanes_(lanes) {}
+
+  [[nodiscard]] std::size_t thread_count() const override { return lanes_; }
+
+  void run_chunks(std::size_t n, std::size_t grain,
+                  const std::function<void(runtime::ChunkRange)>& body)
+      override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++held_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+      --held_;
+    }
+    runtime::SequentialScheduler().run_chunks(n, grain, body);
+  }
+
+  void close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// Wait (up to 30 s) until `n` regions are held at the closed gate.
+  bool wait_held(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return held_ >= n; });
+  }
+  std::size_t held() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return held_;
+  }
+
+ private:
+  const std::size_t lanes_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  std::size_t held_ = 0;
+};
+
+/// Build-conflict-graph request on trace instance `i` at conflict
+/// parameter k (distinct k, distinct key and G_k).
+Request build_request(const Trace& trace, std::size_t i, std::size_t k) {
+  Request req = trace.requests[i];
+  req.kind = RequestKind::kBuildConflictGraph;
+  req.k = k;
+  return req;
+}
+
 TEST(ServiceEngineTest, PayloadsIdenticalAcrossThreadCounts) {
   const Trace trace = generate_trace(small_trace_params());
   runtime::ThreadPool seq(1), par(4);
@@ -71,9 +146,9 @@ TEST(ServiceEngineTest, PayloadsIdenticalWithAndWithoutCache) {
   EXPECT_TRUE(verdict.identical);
 }
 
-TEST(ServiceEngineTest, CacheHitTotalsAreDeterministic) {
+void check_cache_hit_totals(const EngineConfig& cfg) {
+  // Cache capacity is far above unique_keys: no evictions.
   const Trace trace = generate_trace(small_trace_params());
-  EngineConfig cfg;  // capacity far above unique_keys: no evictions
   ServiceEngine engine(cfg);
   engine.start();
   for (const auto& req : trace.requests) {
@@ -88,6 +163,15 @@ TEST(ServiceEngineTest, CacheHitTotalsAreDeterministic) {
   EXPECT_EQ(stats.served_cached, trace.requests.size() - trace.unique_keys);
   EXPECT_EQ(stats.cache.misses, trace.unique_keys);
   EXPECT_EQ(stats.errors, 0u);
+}
+
+TEST(ServiceEngineTest, CacheHitTotalsAreDeterministic) {
+  check_cache_hit_totals(EngineConfig{});
+}
+
+TEST(ServiceEngineMultiLaneTest, CacheHitTotalsAreDeterministic) {
+  runtime::ThreadPool pool(4);
+  check_cache_hit_totals(on_scheduler(pool));
 }
 
 TEST(ServiceEngineTest, UnstartedEngineAdmitsExactlyCapacity) {
@@ -182,11 +266,11 @@ TEST(ServiceEngineTest, FillsInstanceHashWhenCallerLeavesItZero) {
   EXPECT_EQ(resp.key, cache_key(keyed));
 }
 
-TEST(ServiceEngineTest, ConcurrentClientsAllServed) {
+void check_concurrent_clients_all_served(const EngineConfig& cfg) {
   TraceParams tp = small_trace_params();
   tp.requests = 200;
   const Trace trace = generate_trace(tp);
-  ServiceEngine engine;
+  ServiceEngine engine(cfg);
   engine.start();
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> served{0}, retried{0};
@@ -217,6 +301,15 @@ TEST(ServiceEngineTest, ConcurrentClientsAllServed) {
   EXPECT_EQ(engine.stats().served, trace.requests.size());
 }
 
+TEST(ServiceEngineTest, ConcurrentClientsAllServed) {
+  check_concurrent_clients_all_served(EngineConfig{});
+}
+
+TEST(ServiceEngineMultiLaneTest, ConcurrentClientsAllServed) {
+  runtime::ThreadPool pool(4);
+  check_concurrent_clients_all_served(on_scheduler(pool));
+}
+
 TEST(ServiceEngineTest, TraceGenerationIsDeterministic) {
   const Trace a = generate_trace(small_trace_params());
   const Trace b = generate_trace(small_trace_params());
@@ -230,11 +323,11 @@ TEST(ServiceEngineTest, TraceGenerationIsDeterministic) {
   }
 }
 
-TEST(ServiceEngineTest, ReplayFileRoundTripsByteExactly) {
+void check_replay_round_trip(const EngineConfig& cfg) {
   TraceParams tp = small_trace_params();
   tp.requests = 20;
   const Trace trace = generate_trace(tp);
-  const auto entries = serve_all(trace, EngineConfig{});
+  const auto entries = serve_all(trace, cfg);
   const std::string path = ::testing::TempDir() + "service_replay_test.json";
   write_replay_file(path, entries, tp.seed);
   const auto loaded = read_replay_file(path);
@@ -243,12 +336,20 @@ TEST(ServiceEngineTest, ReplayFileRoundTripsByteExactly) {
   EXPECT_EQ(verdict.compared, entries.size());
 }
 
-TEST(ServiceEngineTest, StopDrainServesEverythingAdmitted) {
-  // Graceful drain: stop(kDrain) keeps the dispatcher serving until the
+TEST(ServiceEngineTest, ReplayFileRoundTripsByteExactly) {
+  check_replay_round_trip(EngineConfig{});
+}
+
+TEST(ServiceEngineMultiLaneTest, ReplayFileRoundTripsByteExactly) {
+  runtime::ThreadPool pool(4);
+  check_replay_round_trip(on_scheduler(pool));
+}
+
+void check_stop_drain_serves_everything(EngineConfig cfg) {
+  // Graceful drain: stop(kDrain) keeps the lanes serving until the
   // queue is empty, so every admitted request gets its real answer even
   // when stop() races the submissions.
   const Trace trace = generate_trace(small_trace_params());
-  EngineConfig cfg;
   cfg.queue_capacity = trace.requests.size();
   ServiceEngine engine(cfg);
   engine.start();
@@ -268,13 +369,21 @@ TEST(ServiceEngineTest, StopDrainServesEverythingAdmitted) {
   EXPECT_EQ(stats.rejected_shutdown, 0u);
 }
 
-TEST(ServiceEngineTest, StopRejectAnswersEveryFutureExactlyOnce) {
+TEST(ServiceEngineTest, StopDrainServesEverythingAdmitted) {
+  check_stop_drain_serves_everything(EngineConfig{});
+}
+
+TEST(ServiceEngineMultiLaneTest, StopDrainServesEverythingAdmitted) {
+  runtime::ThreadPool pool(4);
+  check_stop_drain_serves_everything(on_scheduler(pool));
+}
+
+void check_stop_reject_answers_exactly_once(EngineConfig cfg) {
   // Fast shutdown: whatever was not yet dispatched when stop(kReject)
   // lands is answered kRejected("shutdown") instead of computed.  The
   // split between served and rejected depends on timing; the invariant
   // is that every future resolves, to exactly one of the two.
   const Trace trace = generate_trace(small_trace_params());
-  EngineConfig cfg;
   cfg.queue_capacity = trace.requests.size();
   ServiceEngine engine(cfg);
   engine.start();
@@ -302,8 +411,17 @@ TEST(ServiceEngineTest, StopRejectAnswersEveryFutureExactlyOnce) {
   EXPECT_EQ(stats.rejected_shutdown, rejected);
 }
 
+TEST(ServiceEngineTest, StopRejectAnswersEveryFutureExactlyOnce) {
+  check_stop_reject_answers_exactly_once(EngineConfig{});
+}
+
+TEST(ServiceEngineMultiLaneTest, StopRejectAnswersEveryFutureExactlyOnce) {
+  runtime::ThreadPool pool(4);
+  check_stop_reject_answers_exactly_once(on_scheduler(pool));
+}
+
 TEST(ServiceEngineTest, StopDrainOnUnstartedEngineStillAnswers) {
-  // With no dispatcher there is nothing to drain with: the queued
+  // With no lane running there is nothing to drain with: the queued
   // requests are answered kRejected rather than abandoned.
   const Trace trace = generate_trace(small_trace_params());
   EngineConfig cfg;
@@ -323,17 +441,135 @@ TEST(ServiceEngineTest, StopDrainOnUnstartedEngineStillAnswers) {
   }
 }
 
-TEST(ServiceEngineTest, VerifyReplayFlagsTamperedPayload) {
+void check_verify_replay_flags_tampering(const EngineConfig& cfg) {
   TraceParams tp = small_trace_params();
   tp.requests = 10;
   const Trace trace = generate_trace(tp);
-  auto entries = serve_all(trace, EngineConfig{});
+  auto entries = serve_all(trace, cfg);
   auto tampered = entries;
   tampered[3].result[5] ^= 1;
   const auto verdict = verify_replay(entries, tampered);
   EXPECT_FALSE(verdict.identical);
   EXPECT_EQ(verdict.mismatches, 1u);
   EXPECT_EQ(verdict.first_mismatch_id, 3u);
+}
+
+TEST(ServiceEngineTest, VerifyReplayFlagsTamperedPayload) {
+  check_verify_replay_flags_tampering(EngineConfig{});
+}
+
+TEST(ServiceEngineMultiLaneTest, VerifyReplayFlagsTamperedPayload) {
+  runtime::ThreadPool pool(4);
+  check_verify_replay_flags_tampering(on_scheduler(pool));
+}
+
+TEST(ServiceEngineMultiLaneTest, SameKeyQueuedBeforeStartComputesOnce) {
+  // Eight copies of one request wait in the queue when four lanes
+  // start.  The first lane to pop claims the key and stalls in the
+  // compute at the closed gate; every other copy is popped and parks on
+  // that compute (all eight pops happen with one region held), then is
+  // answered from it as a hit.
+  const Trace trace = generate_trace(small_trace_params());
+  const Request req = build_request(trace, 0, 3);
+  GateScheduler gate(4);
+  ServiceEngine engine(on_scheduler(gate));
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 8; ++i) {
+    auto sub = engine.submit(req);
+    ASSERT_EQ(sub.admission, Admission::kAccepted);
+    futures.push_back(std::move(sub.response));
+  }
+  gate.close();
+  engine.start();
+  const bool held = gate.wait_held(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (engine.stats().dispatch_cycles < 8 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto parked = engine.stats();
+  const std::size_t computing = gate.held();
+  gate.open();
+
+  EXPECT_TRUE(held);
+  EXPECT_EQ(parked.dispatch_cycles, 8u);
+  EXPECT_EQ(parked.batches, 1u);
+  EXPECT_EQ(parked.served, 0u);
+  EXPECT_EQ(computing, 1u);
+  std::string first;
+  std::size_t computed = 0;
+  for (auto& f : futures) {
+    const Response resp = f.get();
+    ASSERT_EQ(resp.status, Response::Status::kOk) << resp.reason;
+    if (first.empty()) first = resp.result;
+    EXPECT_EQ(resp.result, first);
+    if (!resp.cache_hit) ++computed;
+  }
+  EXPECT_EQ(computed, 1u);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.served, 8u);
+  EXPECT_EQ(stats.served_cached, 7u);
+  EXPECT_EQ(stats.cache.misses, 1u);
+  EXPECT_EQ(stats.graph_cache.builds, 1u);
+}
+
+TEST(ServiceEngineMultiLaneTest, SameKeyOnAFourLanePoolComputesOnce) {
+  // The same queue-before-start burst on a real pool, where the timing
+  // decides whether a copy parks or finds the cached payload: either
+  // way exactly one copy computes.
+  const Trace trace = generate_trace(small_trace_params());
+  const Request req = build_request(trace, 0, 3);
+  runtime::ThreadPool pool(4);
+  ServiceEngine engine(on_scheduler(pool));
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 8; ++i) {
+    auto sub = engine.submit(req);
+    ASSERT_EQ(sub.admission, Admission::kAccepted);
+    futures.push_back(std::move(sub.response));
+  }
+  engine.start();
+  for (auto& f : futures)
+    EXPECT_EQ(f.get().status, Response::Status::kOk);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.served, 8u);
+  EXPECT_EQ(stats.served_cached, 7u);
+  EXPECT_EQ(stats.cache.misses, 1u);
+}
+
+TEST(ServiceEngineMultiLaneTest, HitIsAnsweredWhileAMissComputes) {
+  // Two lanes: one is held inside a slow miss, the other answers a
+  // cache hit submitted after it — no cycle barrier makes the hit wait.
+  const Trace trace = generate_trace(small_trace_params());
+  const Request hot = build_request(trace, 0, 2);
+  const Request slow = build_request(trace, 1, 3);
+  GateScheduler gate(2);
+  ServiceEngine engine(on_scheduler(gate));
+  engine.start();
+  auto warm = engine.submit(hot);
+  ASSERT_EQ(warm.admission, Admission::kAccepted);
+  ASSERT_FALSE(warm.response.get().cache_hit);
+
+  gate.close();
+  auto miss = engine.submit(slow);
+  ASSERT_EQ(miss.admission, Admission::kAccepted);
+  const bool computing = gate.wait_held(1);
+  auto hit = engine.submit(hot);
+  ASSERT_EQ(hit.admission, Admission::kAccepted);
+  const bool hit_answered = hit.response.wait_for(std::chrono::seconds(30)) ==
+                            std::future_status::ready;
+  const bool miss_pending = miss.response.wait_for(std::chrono::seconds(0)) ==
+                            std::future_status::timeout;
+  gate.open();
+
+  EXPECT_TRUE(computing);
+  EXPECT_TRUE(hit_answered);
+  EXPECT_TRUE(miss_pending);
+  const Response hit_resp = hit.response.get();
+  EXPECT_EQ(hit_resp.status, Response::Status::kOk);
+  EXPECT_TRUE(hit_resp.cache_hit);
+  const Response miss_resp = miss.response.get();
+  EXPECT_EQ(miss_resp.status, Response::Status::kOk) << miss_resp.reason;
+  EXPECT_FALSE(miss_resp.cache_hit);
 }
 
 }  // namespace

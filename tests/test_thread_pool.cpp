@@ -118,6 +118,29 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, InlineRegionScopeKeepsRegionsOnTheCallingThread) {
+  // A thread outside the pool that holds the scope runs every region
+  // inline, as a worker runs nested regions; leaving the scope (even an
+  // inner one) restores the setting it found.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  const auto count_elsewhere = [&](ChunkRange) {
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  };
+  {
+    const InlineRegionScope outer;
+    { const InlineRegionScope inner; }
+    pool.run_chunks(64, 1, count_elsewhere);
+  }
+  EXPECT_EQ(elsewhere.load(), 0);
+  // Without the scope the region fans out again and still completes.
+  std::atomic<int> ran{0};
+  pool.run_chunks(64, 1, [&](ChunkRange) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 64);
+}
+
 TEST(ThreadPool, StealingHappensUnderSkewedLoad) {
   ThreadPool pool(4);
   const auto before = pool.steal_count();
