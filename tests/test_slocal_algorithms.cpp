@@ -17,6 +17,11 @@ struct OrderCase {
   std::uint64_t shuffle_seed;  // 0 = no shuffle
 };
 
+// gtest's fallback printer dumps the raw object bytes, which include the
+// string's heap pointer, so the listed test names would change with the heap
+// layout. Print the case by its name instead.
+void PrintTo(const OrderCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<VertexId> make_order(const Graph& g, const OrderCase& c) {
   std::vector<VertexId> order(g.vertex_count());
   std::iota(order.begin(), order.end(), VertexId{0});
