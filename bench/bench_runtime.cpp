@@ -2,7 +2,7 @@
 // library's parallel hot paths, with the determinism contract enforced.
 //
 // For each thread count in {1, 2, 4, 8} the bench runs
-//   (a) conflict-graph construction (parallel candidate-pair enumeration),
+//   (a) conflict-graph construction (rows written in parallel by edge),
 //   (b) Luby MIS on G_k (parallel round evaluation),
 //   (c) min-degree greedy MaxIS on G_k (parallel argmin scoring),
 // on one planted instance and CHECKs that every output is byte-identical
@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = opts.get_int("seed", 1);
   const std::size_t reps = opts.get_int("reps", 3);
 
-  // Planted instance sized so candidate-pair enumeration alone exceeds
-  // 10^5 pairs (checked below) — big enough for stealing to matter.
+  // Planted instance sized so G_k has over 10^5 edges (checked below) —
+  // big enough for stealing to matter.
   PlantedCfParams params;
   params.n = opts.get_int("n", 256);
   params.m = opts.get_int("m", 256);
@@ -64,10 +64,10 @@ int main(int argc, char** argv) {
   const auto ref_luby = luby_mis(ref_cg.graph(), seed, 0, ref_pool);
   const auto ref_greedy = greedy_min_degree_maxis(ref_cg.graph(), ref_pool);
 
-  const std::size_t pairs = ref_cg.count_edge_classes().total;
-  PSL_CHECK_MSG(pairs >= 100'000,
+  const std::size_t gk_edges = ref_cg.count_edge_classes().total;
+  PSL_CHECK_MSG(gk_edges >= 100'000,
                 "instance too small for a meaningful scaling run: "
-                    << pairs << " candidate pairs (raise --n/--m/--k)");
+                    << gk_edges << " G_k edges (raise --n/--m/--k)");
 
   Table table("Runtime scaling — conflict graph build / Luby MIS / greedy "
               "MaxIS on one planted instance (times: best of " +
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
   json_report.add_table(table);
 
   const std::size_t hw = std::thread::hardware_concurrency();
-  std::cout << "candidate pairs enumerated: " << pairs
+  std::cout << "G_k edges: " << gk_edges
             << "; hardware_concurrency: " << hw << "\n"
             << "all outputs byte-identical across thread counts: "
             << fmt_bool(all_identical) << "\n";
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     std::cout << "note: <4 hardware threads — speedup columns reflect "
                  "oversubscription, not the scheduler.\n";
 
-  json_report.metric("candidate_pairs", static_cast<double>(pairs))
+  json_report.metric("gk_edges", static_cast<double>(gk_edges))
       .metric("hardware_concurrency", static_cast<double>(hw))
       .metric("cg_speedup_4t", cg_x4)
       .metric("luby_speedup_4t", luby_x4)

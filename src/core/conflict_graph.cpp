@@ -12,7 +12,6 @@ namespace {
 struct ConflictGraphMetrics {
   obs::Counter builds{"conflict_graph.builds"};
   obs::Counter triples{"conflict_graph.triples"};
-  obs::Counter candidate_pairs{"conflict_graph.candidate_pairs"};
   obs::Counter edges{"conflict_graph.edges"};
 };
 
@@ -21,6 +20,85 @@ const ConflictGraphMetrics& cg_metrics() {
   return m;
 }
 }  // namespace
+
+void ConflictRows::add_block(bool own, std::size_t first_triple,
+                             std::span<const VertexId> g,
+                             std::span<const VertexId> e) {
+  Block b{own, first_triple, g.size(), shared_.size(), 0};
+  if (!own) {
+    for (std::size_t i = 0, j = 0; i < g.size() && j < e.size();) {
+      if (g[i] < e[j]) {
+        ++i;
+      } else if (e[j] < g[i]) {
+        ++j;
+      } else {
+        shared_.emplace_back(i++, j++);
+      }
+    }
+  }
+  b.shared_end = shared_.size();
+  blocks_.push_back(b);
+}
+
+std::size_t ConflictRows::position_in(const Block& b, std::size_t i) const {
+  const auto* first = shared_.data() + b.shared_begin;
+  const auto* last = shared_.data() + b.shared_end;
+  const auto it = std::lower_bound(
+      first, last, i, [](const auto& s, std::size_t x) { return s.second < x; });
+  return it != last && it->second == i ? it->first : b.size;
+}
+
+std::size_t ConflictRows::row_size(std::size_t i) const {
+  std::size_t size = 0;
+  for (const Block& b : blocks_) {
+    if (b.own)
+      size += b.size * k_ - 1;
+    else if (position_in(b, i) < b.size)
+      size += (k_ - 1) + (b.size - 1);
+    else
+      size += b.shared_end - b.shared_begin;
+  }
+  return size;
+}
+
+// NOTE (erratum-level reading of the paper): the set notation
+// "{u,v} ⊆ e" of E_color admits u = v, but the proofs of Lemma 2.1 treat
+// u and v as distinct ("assume that there is a further node u ∈ e,
+// u != v ...").  Indeed with u = v the lemma's part (a) is FALSE: if two
+// hyperedges share their unique-color witness vertex v, I_f would contain
+// (e, v, c) and (g, v, c) and an u = v E_color edge would join them.  We
+// therefore require u != v: a row of (e, v, c) never holds (g, v, c) for
+// g != e.  See ConflictGraphTest.SharedWitnessAcrossEdgesStaysIndependent
+// for the counterexample.
+void ConflictRows::write_row(std::size_t i, std::size_t c,
+                             VertexId* out) const {
+  const std::size_t c0 = c - 1;
+  for (const Block& b : blocks_) {
+    if (b.own) {
+      const std::size_t self = b.first_triple + i * k_ + c0;
+      for (std::size_t t = b.first_triple; t < b.first_triple + b.size * k_;
+           ++t)
+        if (t != self) *out++ = static_cast<VertexId>(t);
+      continue;
+    }
+    const std::size_t pv = position_in(b, i);
+    if (pv < b.size) {
+      for (std::size_t j = 0; j < b.size; ++j) {
+        const std::size_t pair_first = b.first_triple + j * k_;
+        if (j != pv) {
+          *out++ = static_cast<VertexId>(pair_first + c0);
+          continue;
+        }
+        for (std::size_t d = 0; d < k_; ++d)
+          if (d != c0) *out++ = static_cast<VertexId>(pair_first + d);
+      }
+    } else {
+      for (std::size_t s = b.shared_begin; s < b.shared_end; ++s)
+        *out++ = static_cast<VertexId>(b.first_triple +
+                                       shared_[s].first * k_ + c0);
+    }
+  }
+}
 
 ConflictGraph::ConflictGraph(Hypergraph h, std::size_t k,
                              runtime::Scheduler& sched)
@@ -48,101 +126,36 @@ ConflictGraph::ConflictGraph(Hypergraph h, std::size_t k,
   const std::size_t n_triples = pair_count * k_;
   PSL_EXPECTS_MSG(n_triples < (std::uint64_t{1} << 32),
                   "conflict graph too large for 32-bit triple ids");
-  auto tid = [this](std::size_t pair, std::size_t c) {
-    return static_cast<VertexId>(pair * k_ + (c - 1));
-  };
 
-  // The three candidate-pair enumerations below fan out on `sched`; each
-  // chunk appends pack_edge-encoded pairs to a private sink
-  // (runtime/parallel.hpp).  The classes only differ in their outer loop
-  // domain; the final edge SET is what determines the graph, so any
-  // execution order yields the same G_k.
-  std::vector<std::uint64_t> packed;
-
-  // E_edge: the triples of one hyperedge form a clique.
-  {
-    auto out = runtime::parallel_collect<std::uint64_t>(
-        sched, {m, 0},
-        [&](std::size_t lo, std::size_t hi, std::vector<std::uint64_t>& sink) {
-          for (EdgeId e = lo; e < hi; ++e) {
-            const std::size_t first = edge_pair_offset_[e] * k_;
-            const std::size_t last = edge_pair_offset_[e + 1] * k_;
-            for (std::size_t a = first; a < last; ++a)
-              for (std::size_t b = a + 1; b < last; ++b)
-                sink.push_back(pack_edge(static_cast<VertexId>(a),
-                                         static_cast<VertexId>(b)));
-          }
-        });
-    packed = std::move(out);
-  }
-
-  // E_vertex: triples sharing their middle vertex, with different colors.
-  // Group pairs by vertex via the hypergraph incidence lists.
-  {
-    auto out = runtime::parallel_collect<std::uint64_t>(
-        sched, {h_.vertex_count(), 0},
-        [&](std::size_t lo, std::size_t hi, std::vector<std::uint64_t>& sink) {
-          for (VertexId v = lo; v < hi; ++v) {
-            const auto incident = h_.edges_of(v);
-            std::vector<std::size_t> pairs;
-            pairs.reserve(incident.size());
-            for (EdgeId e : incident) pairs.push_back(pair_of(e, v));
-            for (std::size_t i = 0; i < pairs.size(); ++i) {
-              for (std::size_t j = i; j < pairs.size(); ++j) {
-                for (std::size_t c = 1; c <= k_; ++c) {
-                  for (std::size_t d = 1; d <= k_; ++d) {
-                    if (c == d) continue;
-                    if (i == j && c >= d) continue;  // same pair: {c,d} once
-                    sink.push_back(pack_edge(tid(pairs[i], c),
-                                             tid(pairs[j], d)));
-                  }
-                }
-              }
-            }
-          }
-        });
-    packed.insert(packed.end(), out.begin(), out.end());
-  }
-
-  // E_color: same color c; the two middle vertices u, v lie together in
-  // (at least) one of the two hyperedges.  Enumerate by the witness edge
-  // f: v, u in f, triple1 = (f, v, c), triple2 = (g, u, c) for any g
-  // containing u.  Swapping roles covers witness-in-second-edge cases.
-  //
-  // NOTE (erratum-level reading of the paper): the set notation
-  // "{u,v} ⊆ e" admits u = v, but the proofs of Lemma 2.1 treat u and v
-  // as distinct ("assume that there is a further node u ∈ e, u != v ...").
-  // Indeed with u = v the lemma's part (a) is FALSE: if two hyperedges
-  // share their unique-color witness vertex v, I_f would contain
-  // (e, v, c) and (g, v, c) and an u = v E_color edge would join them.
-  // We therefore require u != v; see ConflictGraphTest.
-  // SharedWitnessAcrossEdgesStaysIndependent for the counterexample.
-  {
-    auto out = runtime::parallel_collect<std::uint64_t>(
-        sched, {m, 0},
-        [&](std::size_t lo, std::size_t hi, std::vector<std::uint64_t>& sink) {
-          for (EdgeId f = lo; f < hi; ++f) {
-            const auto verts = h_.edge(f);
-            for (VertexId v : verts) {
-              const std::size_t pv = pair_of(f, v);
-              for (VertexId u : verts) {
-                if (u == v) continue;
-                for (EdgeId g : h_.edges_of(u)) {
-                  const std::size_t pu = pair_of(g, u);
-                  for (std::size_t c = 1; c <= k_; ++c)
-                    sink.push_back(pack_edge(tid(pv, c), tid(pu, c)));
-                }
-              }
-            }
-          }
-        });
-    packed.insert(packed.end(), out.begin(), out.end());
-  }
+  // CSR in two passes over hyperedges, row lengths then rows.  Each
+  // chunk writes only the rows of its own edges' triples.
+  std::vector<std::size_t> offsets(n_triples + 1, 0);
+  runtime::parallel_for(sched, {m, 0}, [&](std::size_t lo, std::size_t hi) {
+    ConflictRows rows(k_);
+    for (EdgeId e = lo; e < hi; ++e) {
+      rows.load(h_, edge_pair_offset_, e);
+      for (std::size_t i = 0; i < h_.edge_size(e); ++i)
+        std::fill_n(&offsets[(edge_pair_offset_[e] + i) * k_ + 1], k_,
+                    rows.row_size(i));
+    }
+  });
+  for (std::size_t t = 0; t < n_triples; ++t) offsets[t + 1] += offsets[t];
+  std::vector<VertexId> neighbors(offsets.back());
+  runtime::parallel_for(sched, {m, 0}, [&](std::size_t lo, std::size_t hi) {
+    ConflictRows rows(k_);
+    for (EdgeId e = lo; e < hi; ++e) {
+      rows.load(h_, edge_pair_offset_, e);
+      for (std::size_t i = 0; i < h_.edge_size(e); ++i)
+        for (std::size_t c = 1; c <= k_; ++c) {
+          const std::size_t t = (edge_pair_offset_[e] + i) * k_ + (c - 1);
+          rows.write_row(i, c, neighbors.data() + offsets[t]);
+        }
+    }
+  });
 
   cg_metrics().builds.add(1);
   cg_metrics().triples.add(n_triples);
-  cg_metrics().candidate_pairs.add(packed.size());
-  graph_ = Graph::from_packed_edges(n_triples, std::move(packed), sched);
+  graph_ = Graph::from_csr(std::move(offsets), std::move(neighbors));
   cg_metrics().edges.add(graph_.edge_count());
 }
 
@@ -178,7 +191,7 @@ unsigned ConflictGraph::edge_class_mask(TripleId a, TripleId b) const {
   unsigned mask = 0;
   if (ta.v == tb.v && ta.c != tb.c) mask |= kEVertex;
   if (ta.e == tb.e) mask |= kEEdge;
-  // E_color requires two *distinct* vertices u != v (see constructor note).
+  // E_color requires two *distinct* vertices u != v (see the erratum note).
   if (ta.c == tb.c && ta.v != tb.v &&
       (h_.edge_contains(ta.e, tb.v) || h_.edge_contains(tb.e, ta.v)))
     mask |= kEColor;

@@ -16,7 +16,7 @@
 // Reading note: in E_color we require u != v.  The paper's set notation
 // "{u,v} ⊆ e" would admit u = v, but Lemma 2.1 a) only holds for the
 // u != v reading (the proofs also argue with "a further node u != v");
-// see the constructor comment in conflict_graph.cpp for the derivation.
+// see the erratum note in conflict_graph.cpp for the derivation.
 //
 // Triples are densely indexed: the incidence pairs (e, v) are laid out
 // edge-by-edge (in edge-vertex order), and triple_id = pair * k + (c-1),
@@ -24,9 +24,13 @@
 //
 // |V(G_k)| = k * sum_e |e|.  A single conflict-graph edge may fall into
 // several of the three classes; edge_class_mask exposes the full tag.
+// ConflictRows below is the one place the classes are enumerated.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -46,12 +50,77 @@ struct Triple {
   [[nodiscard]] bool operator==(const Triple&) const = default;
 };
 
+/// The G_k rows of one hyperedge block at a time, sorted and
+/// duplicate-free, straight from the hypergraph.  The triples of e can
+/// only reach the blocks of e and of the edges g sharing a vertex with e
+/// (the union of edges_of(u), u ∈ e, which holds edges_of(v) for every
+/// v ∈ e).  load() lists those blocks in edge order; block by block, the
+/// row of (e, v, c) is then
+///   g == e:  every triple of e except (e, v, c)       E_edge
+///   v ∈ g:   (g, v, d) for d != c                      E_vertex
+///            and (g, u, c) for u ∈ g, u != v           E_color, {u,v} ⊆ g
+///   v ∉ g:   (g, u, c) for u ∈ g ∩ e                   E_color, {u,v} ⊆ e
+/// Blocks occupy ascending id ranges and a block is ordered by (vertex,
+/// color), so the row comes out ascending, and its length does not
+/// depend on c.
+class ConflictRows {
+ public:
+  explicit ConflictRows(std::size_t k) : k_(k) {}
+
+  /// Prepare the rows of the triples of edge e.  `h` offers Hypergraph's
+  /// edge(g) and edges_of(v) (both ascending); first_pair[g] is the
+  /// incidence pair of g's first vertex.
+  template <typename H>
+  void load(const H& h, std::span<const std::size_t> first_pair, EdgeId e) {
+    const std::span<const VertexId> own = h.edge(e);
+    edges_.clear();
+    for (const VertexId u : own) {
+      const auto incident = h.edges_of(u);
+      edges_.insert(edges_.end(), incident.begin(), incident.end());
+    }
+    std::sort(edges_.begin(), edges_.end());
+    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+    blocks_.clear();
+    shared_.clear();
+    for (const EdgeId g : edges_)
+      add_block(g == e, first_pair[g] * k_, h.edge(g), own);
+  }
+
+  /// Length of the row of (e, v, c), v the i-th vertex of e, for every c.
+  [[nodiscard]] std::size_t row_size(std::size_t i) const;
+
+  /// Write the row of (e, v, c), v the i-th vertex of e: row_size(i)
+  /// ascending triple ids.
+  void write_row(std::size_t i, std::size_t c, VertexId* out) const;
+
+ private:
+  struct Block {
+    bool own;                   // g == e
+    std::size_t first_triple;   // id of (g, first vertex, 1)
+    std::size_t size;           // |g|
+    std::size_t shared_begin;   // [begin, end) of g ∩ e in shared_
+    std::size_t shared_end;
+  };
+
+  void add_block(bool own, std::size_t first_triple,
+                 std::span<const VertexId> g, std::span<const VertexId> e);
+  /// Position in g of the i-th vertex of e, or g's size when absent.
+  [[nodiscard]] std::size_t position_in(const Block& b, std::size_t i) const;
+
+  std::size_t k_;
+  std::vector<EdgeId> edges_;
+  std::vector<Block> blocks_;
+  /// g ∩ e per block as (position in g, position in e), ascending.
+  std::vector<std::pair<std::size_t, std::size_t>> shared_;
+};
+
 class ConflictGraph {
  public:
   /// Build G_k for conflict-free k-coloring of h.  The hypergraph is
   /// copied so the conflict graph stays valid independently of h.
-  /// Candidate-pair enumeration of the three edge classes fans out on
-  /// `sched`; the resulting graph is bit-identical at every thread count
+  /// The row-length and row-fill passes of ConflictRows fan out over
+  /// hyperedges on `sched`; every row depends on h alone, so the graph
+  /// is bit-identical at every thread count
   /// (tests/test_parallel_determinism.cpp).
   explicit ConflictGraph(Hypergraph h, std::size_t k,
                          runtime::Scheduler& sched =

@@ -14,6 +14,19 @@ namespace {
 
 constexpr EdgeId kNoEdge = static_cast<EdgeId>(-1);
 
+/// The current edge lists seen through Hypergraph's edge / edges_of, the
+/// interface ConflictRows reads.
+struct Incidence {
+  const std::vector<std::vector<VertexId>>& edges;
+  const std::vector<std::vector<EdgeId>>& incidence;
+  [[nodiscard]] std::span<const VertexId> edge(EdgeId e) const {
+    return edges[e];
+  }
+  [[nodiscard]] std::span<const EdgeId> edges_of(VertexId v) const {
+    return incidence[v];
+  }
+};
+
 /// Shared sentinel for triples with no neighbors; counts as "shared"
 /// between any two graphs, which is exactly right for the memory probe.
 const std::shared_ptr<const std::vector<TripleId>>& empty_row() {
@@ -74,15 +87,6 @@ void DynamicConflictGraph::rebuild_incidence() {
     for (const VertexId v : edges_[e]) incidence_[v].push_back(e);
 }
 
-std::size_t DynamicConflictGraph::pair_of(EdgeId e, VertexId v) const {
-  const auto& verts = edges_[e];
-  const auto it = std::lower_bound(verts.begin(), verts.end(), v);
-  PSL_EXPECTS_MSG(it != verts.end() && *it == v,
-                  "vertex " << v << " not in hyperedge " << e);
-  return pair_offset_[e] +
-         static_cast<std::size_t>(std::distance(verts.begin(), it));
-}
-
 Triple DynamicConflictGraph::triple(TripleId t) const {
   PSL_EXPECTS(t < triple_count());
   const std::size_t pair = t / k_;
@@ -95,57 +99,6 @@ Triple DynamicConflictGraph::triple(TripleId t) const {
   out.v = edges_[e][pair - pair_offset_[e]];
   out.c = t % k_ + 1;
   return out;
-}
-
-/// Enumerate the G_k neighbors of every triple of (fresh) hyperedge e
-/// against the CURRENT edges_/incidence_ — the ball-local restriction of
-/// the three-class enumeration in conflict_graph.cpp.
-void DynamicConflictGraph::collect_fresh_neighbors(
-    EdgeId e, std::vector<std::uint64_t>& pairs) const {
-  const auto tid = [this](std::size_t pair, std::size_t c) {
-    return static_cast<VertexId>(pair * k_ + (c - 1));
-  };
-  // E_edge: the block of e is a clique.
-  const std::size_t first = pair_offset_[e] * k_;
-  const std::size_t last = pair_offset_[e + 1] * k_;
-  for (std::size_t a = first; a < last; ++a)
-    for (std::size_t b = a + 1; b < last; ++b)
-      pairs.push_back(pack_edge(static_cast<VertexId>(a),
-                                static_cast<VertexId>(b)));
-  for (const VertexId v : edges_[e]) {
-    const std::size_t pv = pair_of(e, v);
-    // E_vertex: same middle vertex, different colors.  The same-pair
-    // case (g == e) is already inside the E_edge clique above.
-    for (const EdgeId g : incidence_[v]) {
-      if (g == e) continue;
-      const std::size_t pu = pair_of(g, v);
-      for (std::size_t c = 1; c <= k_; ++c)
-        for (std::size_t d = 1; d <= k_; ++d) {
-          if (c == d) continue;
-          pairs.push_back(pack_edge(tid(pv, c), tid(pu, d)));
-        }
-    }
-    // E_color, witness edge = e: u, v both in e (u != v), partner is
-    // (g, u, c) for any g containing u.
-    for (const VertexId u : edges_[e]) {
-      if (u == v) continue;
-      for (const EdgeId g : incidence_[u]) {
-        const std::size_t pu = pair_of(g, u);
-        for (std::size_t c = 1; c <= k_; ++c)
-          pairs.push_back(pack_edge(tid(pv, c), tid(pu, c)));
-      }
-    }
-    // E_color, witness edge = g: u, v both in g (u != v), partner is
-    // (g, u, c) — g ranges over the other edges containing v.
-    for (const EdgeId g : incidence_[v]) {
-      for (const VertexId u : edges_[g]) {
-        if (u == v) continue;
-        const std::size_t pu = pair_of(g, u);
-        for (std::size_t c = 1; c <= k_; ++c)
-          pairs.push_back(pack_edge(tid(pv, c), tid(pu, c)));
-      }
-    }
-  }
 }
 
 DynamicConflictGraph::Delta DynamicConflictGraph::apply(const Mutation& mut) {
@@ -310,71 +263,68 @@ DynamicConflictGraph::Delta DynamicConflictGraph::apply(const Mutation& mut) {
   }
   adj_ = std::move(new_adj);
 
-  // Fresh blocks and their ball-local candidate enumeration.
-  std::vector<std::uint64_t> candidates;
+  // Fresh blocks: their rows come from ConflictRows, the enumerator
+  // ConflictGraph builds with, against the new layout.  Every new G_k
+  // edge has a fresh endpoint, so these rows name all of them; a
+  // survivor's new neighbors are the fresh triples whose rows name it,
+  // collected in ascending order because fresh ids are visited so.
+  std::vector<char> is_fresh(new_triples, 0);
   for (EdgeId ne = 0; ne < edges_.size(); ++ne) {
     if (!fresh[ne]) continue;
     for (std::size_t t = pair_offset_[ne] * k_; t < pair_offset_[ne + 1] * k_;
-         ++t)
+         ++t) {
+      is_fresh[t] = 1;
       delta.added.push_back(t);
-    collect_fresh_neighbors(ne, candidates);
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  delta.gk_edges_added = candidates.size();
-
-  // Scatter the new edges into the adjacency lists.  Every new pair has
-  // a fresh endpoint and fresh ids are disjoint from survivor ids, so no
-  // candidate can already be present — a sorted merge per source is
-  // exact.
-  std::vector<std::pair<TripleId, TripleId>> directed;
-  directed.reserve(candidates.size() * 2);
-  for (const std::uint64_t packed : candidates) {
-    const auto a = static_cast<TripleId>(packed >> 32);
-    const auto b = static_cast<TripleId>(packed & 0xffffffffULL);
-    directed.emplace_back(a, b);
-    directed.emplace_back(b, a);
-  }
-  std::sort(directed.begin(), directed.end());
-  for (std::size_t i = 0; i < directed.size();) {
-    const TripleId src = directed[i].first;
-    std::size_t j = i;
-    while (j < directed.size() && directed[j].first == src) ++j;
-    // Fresh triples still hold a null Row here; treat it as empty.
-    static const std::vector<TripleId> kNone;
-    const std::vector<TripleId>& list =
-        adj_[src] != nullptr ? *adj_[src] : kNone;
-    std::vector<TripleId> merged;
-    merged.reserve(list.size() + (j - i));
-    std::size_t a = 0, b = i;
-    while (a < list.size() && b < j) {
-      if (list[a] < directed[b].second)
-        merged.push_back(list[a++]);
-      else
-        merged.push_back(directed[b++].second);
     }
-    while (a < list.size()) merged.push_back(list[a++]);
-    while (b < j) merged.push_back(directed[b++].second);
-    adj_[src] =
-        std::make_shared<const std::vector<TripleId>>(std::move(merged));
-    i = j;
   }
-  for (Row& row : adj_) {
-    if (row == nullptr) row = empty_row();  // fresh triple, no neighbors
+  // Dirty region: survivors that lost or gained a neighbor, plus fresh
+  // triples with a neighbor.
+  for (const TripleId t : dirty_old) delta.dirty.push_back(delta.remap[t]);
+  std::vector<std::vector<TripleId>> gained(new_triples);
+  std::size_t fresh_pairs = 0;  // fresh-fresh edges, seen from both ends
+  ConflictRows rows(k_);
+  std::vector<VertexId> row;
+  const Incidence incidence{edges_, incidence_};
+  for (EdgeId ne = 0; ne < edges_.size(); ++ne) {
+    if (!fresh[ne]) continue;
+    rows.load(incidence, pair_offset_, ne);
+    for (std::size_t i = 0; i < edges_[ne].size(); ++i) {
+      row.resize(rows.row_size(i));
+      for (std::size_t c = 1; c <= k_; ++c) {
+        const TripleId t = (pair_offset_[ne] + i) * k_ + (c - 1);
+        rows.write_row(i, c, row.data());
+        for (const VertexId x : row) {
+          if (is_fresh[x]) {
+            ++fresh_pairs;
+          } else {
+            gained[x].push_back(t);
+            ++delta.gk_edges_added;
+          }
+        }
+        if (row.empty()) {
+          adj_[t] = empty_row();  // no neighbors at all
+          continue;
+        }
+        adj_[t] = std::make_shared<const std::vector<TripleId>>(row.begin(),
+                                                                row.end());
+        delta.dirty.push_back(t);
+      }
+    }
+  }
+  delta.gk_edges_added += fresh_pairs / 2;
+
+  // Fresh ids are disjoint from survivor ids, so a merge never meets a
+  // neighbor twice.
+  for (TripleId x = 0; x < new_triples; ++x) {
+    if (gained[x].empty()) continue;
+    const std::vector<TripleId>& list = *adj_[x];
+    std::vector<TripleId> merged(list.size() + gained[x].size());
+    std::merge(list.begin(), list.end(), gained[x].begin(), gained[x].end(),
+               merged.begin());
+    adj_[x] = std::make_shared<const std::vector<TripleId>>(std::move(merged));
+    delta.dirty.push_back(x);
   }
   gk_edges_ = gk_edges_ - delta.gk_edges_removed + delta.gk_edges_added;
-
-  // Dirty region: fresh triples plus survivors whose lists changed.
-  delta.dirty.reserve(dirty_old.size() + delta.added.size());
-  for (const TripleId t : dirty_old) delta.dirty.push_back(delta.remap[t]);
-  for (const TripleId src :
-       [&directed] {
-         std::vector<TripleId> srcs;
-         for (const auto& [a, b] : directed) srcs.push_back(a);
-         return srcs;
-       }())
-    delta.dirty.push_back(src);
   std::sort(delta.dirty.begin(), delta.dirty.end());
   delta.dirty.erase(std::unique(delta.dirty.begin(), delta.dirty.end()),
                     delta.dirty.end());
@@ -401,15 +351,15 @@ std::uint64_t DynamicConflictGraph::content_hash() const {
   return hash.digest();
 }
 
-Graph DynamicConflictGraph::snapshot(runtime::Scheduler& sched) const {
-  std::vector<std::uint64_t> packed;
-  packed.reserve(gk_edges_);
+Graph DynamicConflictGraph::snapshot(runtime::Scheduler& /*sched*/) const {
+  std::vector<std::size_t> offsets(adj_.size() + 1, 0);
   for (TripleId t = 0; t < adj_.size(); ++t)
-    for (const TripleId nb : *adj_[t])
-      if (t < nb)
-        packed.push_back(pack_edge(static_cast<VertexId>(t),
-                                   static_cast<VertexId>(nb)));
-  return Graph::from_packed_edges(adj_.size(), std::move(packed), sched);
+    offsets[t + 1] = offsets[t] + adj_[t]->size();
+  std::vector<VertexId> neighbors;
+  neighbors.reserve(offsets.back());
+  for (const Row& row : adj_)
+    neighbors.insert(neighbors.end(), row->begin(), row->end());
+  return Graph::from_csr(std::move(offsets), std::move(neighbors));
 }
 
 std::uint64_t DynamicConflictGraph::graph_hash() const {

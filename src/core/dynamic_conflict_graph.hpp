@@ -12,17 +12,18 @@
 // So every G_k edge created or destroyed by mutating hyperedge e is
 // incident to a triple of e.  A mutation therefore removes the triple
 // blocks of the touched hyperedges, renumbers the survivors (their
-// adjacency is *remapped*, never re-derived), and re-enumerates
-// candidate neighbors only for the fresh blocks — the same three-class
-// enumeration ConflictGraph runs globally, restricted to the ball around
-// the edit.  remove_vertex is handled as "remove the old edge block,
-// re-attach the shrunk edge at the same position", which keeps one
-// endpoint of every affected pair inside a touched block.
+// adjacency is *remapped*, never re-derived), and computes rows only for
+// the fresh blocks — with ConflictRows, the row enumerator ConflictGraph
+// builds from, so the edge classes are written down once.  Each
+// survivor next to a fresh block merges the fresh ids that name it into
+// its sorted row.  remove_vertex is handled as "remove the old edge
+// block, re-attach the shrunk edge at the same position", which keeps
+// one endpoint of every affected pair inside a touched block.
 //
 // The renumbering pass is O(|G_k|) (a linear remap of the survivor
-// adjacency); what the delta path saves is the candidate enumeration and
-// sort over the whole graph — and, one level up, MIS *repair*
-// (mis/repair.hpp) instead of a full re-solve.
+// adjacency); what the delta path saves is enumerating the rows of every
+// block — and, one level up, MIS *repair* (mis/repair.hpp) instead of a
+// full re-solve.
 //
 // Canonical layout is identical to ConflictGraph: incidence pairs (e, v)
 // laid out edge-by-edge in sorted-vertex order, triple_id =
@@ -108,7 +109,8 @@ class DynamicConflictGraph {
   [[nodiscard]] std::uint64_t content_hash() const;
 
   /// Materialize the current G_k; must equal
-  /// ConflictGraph(hypergraph(), k).graph() bit for bit.
+  /// ConflictGraph(hypergraph(), k).graph() bit for bit.  The rows are
+  /// kept sorted, so this only concatenates them; `sched` is not used.
   [[nodiscard]] Graph snapshot(runtime::Scheduler& sched =
                                    runtime::global_scheduler()) const;
 
@@ -139,9 +141,6 @@ class DynamicConflictGraph {
 
   void rebuild_incidence();
   void rebuild_pair_offsets();
-  [[nodiscard]] std::size_t pair_of(EdgeId e, VertexId v) const;
-  void collect_fresh_neighbors(EdgeId e,
-                               std::vector<std::uint64_t>& pairs) const;
 
   std::size_t n_ = 0;
   std::size_t k_ = 1;

@@ -2,38 +2,30 @@
 
 #include <algorithm>
 
-#include "runtime/parallel.hpp"
-
 namespace pslocal {
 
-Graph Graph::from_packed_edges(std::size_t n,
-                               std::vector<std::uint64_t>&& packed,
-                               runtime::Scheduler& sched) {
-  runtime::parallel_sort(sched, packed);
-  packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
-
+Graph Graph::from_csr(std::vector<std::size_t> offsets,
+                      std::vector<VertexId> neighbors) {
+  PSL_EXPECTS(!offsets.empty() && offsets.front() == 0 &&
+              offsets.back() == neighbors.size());
+  const std::size_t n = offsets.size() - 1;
+  std::size_t upper = 0;  // entries (u, v) with u < v
+  for (std::size_t u = 0; u < n; ++u) {
+    PSL_EXPECTS(offsets[u] <= offsets[u + 1]);
+    for (std::size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+      const VertexId v = neighbors[i];
+      PSL_EXPECTS_MSG(v < n && v != u &&
+                          (i == offsets[u] || neighbors[i - 1] < v),
+                      "row " << u << " entry " << v
+                             << " breaks a sorted loop-free CSR for n=" << n);
+      if (u < v) ++upper;
+    }
+  }
+  PSL_EXPECTS_MSG(2 * upper == neighbors.size(),
+                  "CSR rows do not hold each edge from both ends");
   Graph g;
-  g.offsets_.assign(n + 1, 0);
-  for (const std::uint64_t pe : packed) {
-    const auto u = static_cast<VertexId>(pe >> 32);
-    const auto v = static_cast<VertexId>(pe & 0xffffffffULL);
-    PSL_EXPECTS_MSG(u < v && v < n,
-                    "packed edge {" << u << "," << v << "} invalid for n=" << n);
-    ++g.offsets_[u + 1];
-    ++g.offsets_[v + 1];
-  }
-  for (std::size_t i = 1; i <= n; ++i) g.offsets_[i] += g.offsets_[i - 1];
-  g.neighbors_.resize(packed.size() * 2);
-  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  // Scanning edges in (u, v) order fills every CSR row ascending: row x
-  // first receives the u's of edges (u, x) in increasing u (< x), then
-  // the v's of edges (x, v) in increasing v (> x).  No per-row sort.
-  for (const std::uint64_t pe : packed) {
-    const auto u = static_cast<VertexId>(pe >> 32);
-    const auto v = static_cast<VertexId>(pe & 0xffffffffULL);
-    g.neighbors_[cursor[u]++] = v;
-    g.neighbors_[cursor[v]++] = u;
-  }
+  g.offsets_ = std::move(offsets);
+  g.neighbors_ = std::move(neighbors);
   return g;
 }
 
@@ -102,16 +94,13 @@ Graph GraphBuilder::build() {
   for (std::size_t i = 1; i <= n_; ++i) g.offsets_[i] += g.offsets_[i - 1];
   g.neighbors_.resize(edges_.size() * 2);
   std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  // Scanning edges in (u, v) order fills every CSR row ascending: row x
+  // first receives the u's of edges (u, x) in increasing u (< x), then
+  // the v's of edges (x, v) in increasing v (> x).  No per-row sort.
   for (auto [u, v] : edges_) {
     g.neighbors_[cursor[u]++] = v;
     g.neighbors_[cursor[v]++] = u;
   }
-  // CSR rows are sorted because edges_ was sorted by (u, v) and insertions
-  // per row happen in ascending order of the opposite endpoint only for the
-  // first endpoint; sort each row to make neighbor lists canonical.
-  for (std::size_t v = 0; v < n_; ++v)
-    std::sort(g.neighbors_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.neighbors_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
   edges_.clear();
   return g;
 }

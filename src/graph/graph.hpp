@@ -14,22 +14,9 @@
 
 namespace pslocal {
 
-namespace runtime {
-class Scheduler;
-}
-
 using VertexId = std::uint32_t;
 
 class GraphBuilder;
-
-/// Canonical one-word edge encoding used by the parallel construction
-/// paths: (min(u,v) << 32) | max(u,v).  Packed edges sort exactly like
-/// the (u, v) pairs GraphBuilder sorts, which is what keeps the parallel
-/// and sequential builds bit-identical.
-inline std::uint64_t pack_edge(VertexId u, VertexId v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) | v;
-}
 
 class Graph {
  public:
@@ -42,13 +29,12 @@ class Graph {
                           const std::vector<std::pair<VertexId, VertexId>>& edges,
                           bool dedup = false);
 
-  /// Build from pack_edge-encoded edges in any order, duplicates allowed
-  /// (self-loops are not).  The dominant cost — sorting — runs on the
-  /// given scheduler; the result is bit-identical to GraphBuilder::build
-  /// on the same edge multiset at every thread count.  Consumes `packed`.
-  static Graph from_packed_edges(std::size_t n,
-                                 std::vector<std::uint64_t>&& packed,
-                                 runtime::Scheduler& sched);
+  /// Adopt a CSR as is: row v is neighbors[offsets[v], offsets[v+1]).
+  /// Every row must be strictly ascending, in range and free of v
+  /// itself, and the rows must hold each edge from both ends — then the
+  /// result equals GraphBuilder::build on the same edge set.
+  static Graph from_csr(std::vector<std::size_t> offsets,
+                        std::vector<VertexId> neighbors);
 
   [[nodiscard]] std::size_t vertex_count() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   [[nodiscard]] std::size_t edge_count() const { return neighbors_.size() / 2; }

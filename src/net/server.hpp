@@ -19,11 +19,13 @@
 //                      so no connection state is ever shared or locked.
 //
 //   completer thread   Blocks on the engine futures of admitted
-//                      requests in admission order (the engine fulfills
-//                      FIFO batches, so this order is within one batch
-//                      of completion order), encodes each Response and
-//                      hands it to the owning loop through that loop's
-//                      wake pipe.
+//                      requests in admission order, encodes each
+//                      Response and hands it to the owning loop through
+//                      that loop's wake pipe.  The engine's lanes answer
+//                      out of order (a hit at once, a miss when its
+//                      compute ends), so a ready response can wait here
+//                      behind a slower one admitted earlier, from any
+//                      connection.
 //
 // config.io_threads picks the loop count (0 = one per core, capped at
 // 8).  With one loop this is exactly the previous single-poll-loop

@@ -7,11 +7,9 @@
 // including floating-point reductions, whose association order is fixed.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "runtime/scheduler.hpp"
 #include "util/rng.hpp"
@@ -67,64 +65,6 @@ T parallel_reduce(Scheduler& sched, BlockedRange range, T identity, Map&& map,
   for (std::size_t i = 0; i < chunks; ++i)
     acc = combine(std::move(acc), std::move(partials[i]));
   return acc;
-}
-
-/// Deterministic collection: emit(begin, end, sink) appends any number of
-/// items per chunk to its private sink; the per-chunk sinks are
-/// concatenated in ascending chunk order.  Equivalent to the sequential
-/// loop appending to one vector.
-template <typename T, typename Emit>
-std::vector<T> parallel_collect(Scheduler& sched, BlockedRange range,
-                                Emit&& emit) {
-  const std::size_t grain = range.resolved_grain();
-  const std::size_t chunks = chunk_count(range.n, grain);
-  std::vector<std::vector<T>> sinks(chunks);
-  sched.run_chunks(range.n, grain, [&](ChunkRange c) {
-    emit(c.begin, c.end, sinks[c.index]);
-  });
-  std::size_t total = 0;
-  for (const auto& s : sinks) total += s.size();
-  std::vector<T> out;
-  out.reserve(total);
-  for (auto& s : sinks) out.insert(out.end(), s.begin(), s.end());
-  return out;
-}
-
-/// Parallel merge sort: fixed-size runs are sorted in parallel, then
-/// merged pairwise in rounds (each round's merges run in parallel).  For
-/// a strict weak order the sorted result is unique up to equal elements,
-/// and std::merge keeps the left run first, so the output equals exactly
-/// std::stable_sort of the input for any thread count.
-template <typename T, typename Less = std::less<T>>
-void parallel_sort(Scheduler& sched, std::vector<T>& v, Less less = Less{}) {
-  const std::size_t n = v.size();
-  const std::size_t run = default_grain(n);
-  if (n <= run || sched.thread_count() == 1) {
-    std::stable_sort(v.begin(), v.end(), less);
-    return;
-  }
-  sched.run_chunks(n, run, [&](ChunkRange c) {
-    std::stable_sort(v.begin() + static_cast<std::ptrdiff_t>(c.begin),
-                     v.begin() + static_cast<std::ptrdiff_t>(c.end), less);
-  });
-  std::vector<T> buf(n);
-  T* src = v.data();
-  T* dst = buf.data();
-  for (std::size_t width = run; width < n; width *= 2) {
-    const std::size_t pairs = (n + 2 * width - 1) / (2 * width);
-    // One chunk per merge pair: grain 1 over the pair index space.
-    sched.run_chunks(pairs, 1, [&](ChunkRange c) {
-      for (std::size_t p = c.begin; p < c.end; ++p) {
-        const std::size_t lo = p * 2 * width;
-        const std::size_t mid = std::min(n, lo + width);
-        const std::size_t hi = std::min(n, lo + 2 * width);
-        std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo, less);
-      }
-    });
-    std::swap(src, dst);
-  }
-  if (src != v.data())
-    std::copy(src, src + n, v.data());
 }
 
 /// The RNG stream of one chunk: forked from the master seed by chunk

@@ -6,6 +6,7 @@
 
 #include "core/correspondence.hpp"
 #include "hypergraph/generators.hpp"
+#include "qc/gen.hpp"
 
 namespace pslocal {
 namespace {
@@ -26,7 +27,7 @@ std::set<std::pair<TripleId, TripleId>> brute_force_edges(
       const auto both_in = [&](EdgeId e) {
         return h.edge_contains(e, ta.v) && h.edge_contains(e, tb.v);
       };
-      // u != v is required for E_color (see the constructor note in
+      // u != v is required for E_color (see the erratum note in
       // core/conflict_graph.cpp — with u = v Lemma 2.1 a) would fail).
       const bool e_color =
           ta.c == tb.c && ta.v != tb.v && (both_in(ta.e) || both_in(tb.e));
@@ -34,6 +35,13 @@ std::set<std::pair<TripleId, TripleId>> brute_force_edges(
     }
   }
   return edges;
+}
+
+void expect_matches_definition(const ConflictGraph& cg) {
+  std::set<std::pair<TripleId, TripleId>> actual;
+  for (auto [a, b] : cg.graph().edges())
+    actual.emplace(static_cast<TripleId>(a), static_cast<TripleId>(b));
+  EXPECT_EQ(actual, brute_force_edges(cg));
 }
 
 TEST(ConflictGraphTest, SingleEdgeIsCompleteBlock) {
@@ -147,13 +155,7 @@ TEST_P(ConflictGraphBruteForceTest, MatchesDefinitionExactly) {
   params.m = p.m;
   params.k = std::max<std::size_t>(2, p.k);
   const auto inst = planted_cf_colorable(params, rng);
-  const ConflictGraph cg(inst.hypergraph, p.k);
-
-  const auto expected = brute_force_edges(cg);
-  std::set<std::pair<TripleId, TripleId>> actual;
-  for (auto [a, b] : cg.graph().edges())
-    actual.emplace(static_cast<TripleId>(a), static_cast<TripleId>(b));
-  EXPECT_EQ(actual, expected);
+  expect_matches_definition(ConflictGraph(inst.hypergraph, p.k));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ConflictGraphBruteForceTest,
@@ -162,6 +164,46 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ConflictGraphBruteForceTest,
                                            BruteForceCase{12, 6, 3},
                                            BruteForceCase{16, 8, 2},
                                            BruteForceCase{18, 5, 4}));
+
+// The same reference over every qc hypergraph family, at k = 1, 2, 3 and
+// the family's own k, on a few seeds each.
+class ConflictGraphBruteForceFamilyTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ConflictGraphBruteForceFamilyTest, MatchesDefinitionExactly) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    const auto inst = qc::make_family(GetParam(), seed);
+    for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          inst.k}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " k " << k);
+      expect_matches_definition(ConflictGraph(inst.hypergraph, k));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(QcFamilies, ConflictGraphBruteForceFamilyTest,
+                         ::testing::ValuesIn(qc::hyper_family_names()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name)
+                             if (c == '-') c = '_';
+                           return name;
+                         });
+
+TEST(ConflictGraphTest, DuplicateAndSingletonEdgesMatchDefinition) {
+  // Duplicate edges share every vertex; singleton edges have no E_color
+  // partner inside; vertex 4 lies in singletons only, so at k = 1 its
+  // triples are isolated (empty rows).
+  const Hypergraph h(5, {{0, 1, 2}, {0, 1, 2}, {3}, {1, 3}, {3}, {4}, {4}});
+  for (std::size_t k : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    const ConflictGraph cg(h, k);
+    expect_matches_definition(cg);
+    // (e5, 4, d) and (e6, 4, d) for d != 1.
+    EXPECT_EQ(cg.graph().degree(static_cast<VertexId>(cg.triple_id(5, 4, 1))),
+              2 * (k - 1));
+  }
+}
 
 TEST(ConflictGraphTest, ClosedFormClassCounts) {
   // Exact combinatorics of the first two classes:
@@ -231,12 +273,7 @@ TEST(ConflictGraphTest, ClassCountsCoverAllEdges) {
 TEST(ConflictGraphTest, InterValHypergraphAlsoWorks) {
   Rng rng(23);
   const auto h = interval_hypergraph(20, 8, 2, 5, rng);
-  const ConflictGraph cg(h, 2);
-  const auto expected = brute_force_edges(cg);
-  std::set<std::pair<TripleId, TripleId>> actual;
-  for (auto [a, b] : cg.graph().edges())
-    actual.emplace(static_cast<TripleId>(a), static_cast<TripleId>(b));
-  EXPECT_EQ(actual, expected);
+  expect_matches_definition(ConflictGraph(h, 2));
 }
 
 }  // namespace

@@ -66,6 +66,20 @@ TEST(GraphTest, FromEdgesRejectsDuplicatesUnlessAsked) {
   EXPECT_THROW(Graph::from_edges(3, {{1, 1}}), ContractViolation);
 }
 
+TEST(GraphTest, FromCsrAdoptsOnlyCanonicalRows) {
+  // The path 0-1-2, each edge held from both ends.
+  EXPECT_EQ(Graph::from_csr({0, 1, 3, 4}, {1, 0, 2, 1}),
+            Graph::from_edges(3, {{0, 1}, {1, 2}}));
+  EXPECT_THROW(Graph::from_csr({0, 1, 3, 4}, {1, 2, 0, 1}),
+               ContractViolation);  // row 1 not ascending
+  EXPECT_THROW(Graph::from_csr({0, 1, 2}, {0, 0}),
+               ContractViolation);  // self-loop
+  EXPECT_THROW(Graph::from_csr({0, 1, 2}, {1, 5}),
+               ContractViolation);  // neighbor out of range
+  EXPECT_THROW(Graph::from_csr({0, 1, 2, 2}, {1, 2}),
+               ContractViolation);  // {1, 2} missing from row 2
+}
+
 TEST(GraphTest, RoundTripThroughEdgeListIO) {
   const Graph g = Graph::from_edges(6, {{0, 1}, {1, 2}, {4, 5}, {0, 5}});
   std::stringstream ss;

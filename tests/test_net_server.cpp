@@ -64,6 +64,9 @@ TEST(NetServerTest, EndToEndCallMatchesInProcessExecution) {
   EXPECT_EQ(client.inflight(), 0u);
   EXPECT_EQ(client.parked(), 0u);
 
+  // An io loop counts a frame after send() returns, which can be after
+  // the client already holds the reply; stop() joins the loops first.
+  server.stop();
   const Server::Stats stats = server.stats();
   EXPECT_EQ(stats.accepted, 1u);
   EXPECT_EQ(stats.frames_rx, trace.requests.size());

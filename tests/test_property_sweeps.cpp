@@ -47,6 +47,13 @@ struct ReductionCase {
   std::string oracle;
 };
 
+// gtest's fallback printer dumps the raw object bytes, which include the
+// strings' heap pointers, so the listed test names would change from run
+// to run. Print the case as <family>/<oracle> instead.
+void PrintTo(const ReductionCase& c, std::ostream* os) {
+  *os << c.family << "/" << c.oracle;
+}
+
 class ReductionMatrixTest : public ::testing::TestWithParam<ReductionCase> {};
 
 TEST_P(ReductionMatrixTest, SolvesWithPhaseVerification) {
