@@ -24,28 +24,21 @@ const ConflictGraphMetrics& cg_metrics() {
 void ConflictRows::add_block(bool own, std::size_t first_triple,
                              std::span<const VertexId> g,
                              std::span<const VertexId> e) {
-  Block b{own, first_triple, g.size(), shared_.size(), 0};
-  if (!own) {
-    for (std::size_t i = 0, j = 0; i < g.size() && j < e.size();) {
-      if (g[i] < e[j]) {
-        ++i;
-      } else if (e[j] < g[i]) {
-        ++j;
-      } else {
-        shared_.emplace_back(i++, j++);
-      }
+  Block b{own, first_triple, g.size(), shared_.size(), 0, position_.size()};
+  position_.resize(position_.size() + e.size(), g.size());
+  std::size_t* position = position_.data() + b.position_begin;
+  for (std::size_t i = 0, j = 0; i < g.size() && j < e.size();) {
+    if (g[i] < e[j]) {
+      ++i;
+    } else if (e[j] < g[i]) {
+      ++j;
+    } else {
+      position[j++] = i;
+      shared_.push_back(i++);
     }
   }
   b.shared_end = shared_.size();
   blocks_.push_back(b);
-}
-
-std::size_t ConflictRows::position_in(const Block& b, std::size_t i) const {
-  const auto* first = shared_.data() + b.shared_begin;
-  const auto* last = shared_.data() + b.shared_end;
-  const auto it = std::lower_bound(
-      first, last, i, [](const auto& s, std::size_t x) { return s.second < x; });
-  return it != last && it->second == i ? it->first : b.size;
 }
 
 std::size_t ConflictRows::row_size(std::size_t i) const {
@@ -70,32 +63,46 @@ std::size_t ConflictRows::row_size(std::size_t i) const {
 // therefore require u != v: a row of (e, v, c) never holds (g, v, c) for
 // g != e.  See ConflictGraphTest.SharedWitnessAcrossEdgesStaysIndependent
 // for the counterexample.
-void ConflictRows::write_row(std::size_t i, std::size_t c,
-                             VertexId* out) const {
-  const std::size_t c0 = c - 1;
+void ConflictRows::write_rows(std::size_t i, VertexId* out) const {
+  // Every row takes the same number of ids from a block, so a block's
+  // part starts at the same offset in each of the k rows.
+  const std::size_t size = row_size(i);
+  std::size_t offset = 0;
   for (const Block& b : blocks_) {
+    const std::size_t first = b.first_triple;
     if (b.own) {
-      const std::size_t self = b.first_triple + i * k_ + c0;
-      for (std::size_t t = b.first_triple; t < b.first_triple + b.size * k_;
-           ++t)
-        if (t != self) *out++ = static_cast<VertexId>(t);
+      const std::size_t end = first + b.size * k_;
+      for (std::size_t c0 = 0; c0 < k_; ++c0) {
+        VertexId* row = out + c0 * size + offset;
+        const std::size_t self = first + i * k_ + c0;
+        for (std::size_t t = first; t < self; ++t)
+          *row++ = static_cast<VertexId>(t);
+        for (std::size_t t = self + 1; t < end; ++t)
+          *row++ = static_cast<VertexId>(t);
+      }
+      offset += b.size * k_ - 1;
       continue;
     }
     const std::size_t pv = position_in(b, i);
     if (pv < b.size) {
-      for (std::size_t j = 0; j < b.size; ++j) {
-        const std::size_t pair_first = b.first_triple + j * k_;
-        if (j != pv) {
-          *out++ = static_cast<VertexId>(pair_first + c0);
-          continue;
-        }
+      const std::size_t v_first = first + pv * k_;
+      for (std::size_t c0 = 0; c0 < k_; ++c0) {
+        VertexId* row = out + c0 * size + offset;
+        for (std::size_t j = 0; j < pv; ++j)
+          *row++ = static_cast<VertexId>(first + j * k_ + c0);
         for (std::size_t d = 0; d < k_; ++d)
-          if (d != c0) *out++ = static_cast<VertexId>(pair_first + d);
+          if (d != c0) *row++ = static_cast<VertexId>(v_first + d);
+        for (std::size_t j = pv + 1; j < b.size; ++j)
+          *row++ = static_cast<VertexId>(first + j * k_ + c0);
       }
+      offset += (k_ - 1) + (b.size - 1);
     } else {
-      for (std::size_t s = b.shared_begin; s < b.shared_end; ++s)
-        *out++ = static_cast<VertexId>(b.first_triple +
-                                       shared_[s].first * k_ + c0);
+      for (std::size_t c0 = 0; c0 < k_; ++c0) {
+        VertexId* row = out + c0 * size + offset;
+        for (std::size_t s = b.shared_begin; s < b.shared_end; ++s)
+          *row++ = static_cast<VertexId>(first + shared_[s] * k_ + c0);
+      }
+      offset += b.shared_end - b.shared_begin;
     }
   }
 }
@@ -146,10 +153,8 @@ ConflictGraph::ConflictGraph(Hypergraph h, std::size_t k,
     for (EdgeId e = lo; e < hi; ++e) {
       rows.load(h_, edge_pair_offset_, e);
       for (std::size_t i = 0; i < h_.edge_size(e); ++i)
-        for (std::size_t c = 1; c <= k_; ++c) {
-          const std::size_t t = (edge_pair_offset_[e] + i) * k_ + (c - 1);
-          rows.write_row(i, c, neighbors.data() + offsets[t]);
-        }
+        rows.write_rows(
+            i, neighbors.data() + offsets[(edge_pair_offset_[e] + i) * k_]);
     }
   });
 
@@ -198,15 +203,42 @@ unsigned ConflictGraph::edge_class_mask(TripleId a, TripleId b) const {
   return mask;
 }
 
+// edge_class_mask's predicates, evaluated row by row: with e's vertices
+// and v's edges marked, each later neighbor (g, u, d) of (e, v, c) is
+// classified in O(1).
 ConflictGraph::ClassCounts ConflictGraph::count_edge_classes() const {
   ClassCounts counts;
-  for (auto [a, b] : graph_.edges()) {
-    const unsigned mask = edge_class_mask(a, b);
-    PSL_CHECK_MSG(mask != 0, "conflict-graph edge outside all classes");
-    if (mask & kEVertex) ++counts.e_vertex;
-    if (mask & kEEdge) ++counts.e_edge;
-    if (mask & kEColor) ++counts.e_color;
-    ++counts.total;
+  std::vector<char> in_e(h_.vertex_count(), 0);   // u ∈ e
+  std::vector<char> holds_v(h_.edge_count(), 0);  // v ∈ g
+  for (EdgeId e = 0; e < h_.edge_count(); ++e) {
+    for (const VertexId u : h_.edge(e)) in_e[u] = 1;
+    for (std::size_t p = edge_pair_offset_[e]; p < edge_pair_offset_[e + 1];
+         ++p) {
+      const VertexId v = pair_vertex_[p];
+      for (const EdgeId g : h_.edges_of(v)) holds_v[g] = 1;
+      for (std::size_t c = 0; c < k_; ++c) {
+        const auto t = static_cast<VertexId>(p * k_ + c);
+        const auto row = graph_.neighbors(t);
+        for (auto it = std::upper_bound(row.begin(), row.end(), t);
+             it != row.end(); ++it) {
+          const std::size_t q = *it / k_;
+          const std::size_t d = *it - q * k_;
+          const EdgeId g = pair_edge_[q];
+          const VertexId u = pair_vertex_[q];
+          const bool e_vertex = u == v && d != c;
+          const bool e_edge = g == e;
+          const bool e_color = d == c && u != v && (in_e[u] || holds_v[g]);
+          PSL_CHECK_MSG(e_vertex || e_edge || e_color,
+                        "conflict-graph edge outside all classes");
+          counts.e_vertex += e_vertex;
+          counts.e_edge += e_edge;
+          counts.e_color += e_color;
+          ++counts.total;
+        }
+      }
+      for (const EdgeId g : h_.edges_of(v)) holds_v[g] = 0;
+    }
+    for (const VertexId u : h_.edge(e)) in_e[u] = 0;
   }
   return counts;
 }

@@ -62,7 +62,12 @@ struct Triple {
 ///   v ∉ g:   (g, u, c) for u ∈ g ∩ e                   E_color, {u,v} ⊆ e
 /// Blocks occupy ascending id ranges and a block is ordered by (vertex,
 /// color), so the row comes out ascending, and its length does not
-/// depend on c.
+/// depend on c.  The k rows of (e, v, 1..k) are therefore consecutive
+/// CSR rows of equal length, and write_rows() fills all k in one walk
+/// over the blocks: per block, the color only shifts ids.  load() also
+/// records, per block and per vertex of e, that vertex's position in the
+/// block (a blocks × |e| table filled by the merge that finds g ∩ e), so
+/// no row looks a vertex up.
 class ConflictRows {
  public:
   explicit ConflictRows(std::size_t k) : k_(k) {}
@@ -82,6 +87,7 @@ class ConflictRows {
     edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
     blocks_.clear();
     shared_.clear();
+    position_.clear();
     for (const EdgeId g : edges_)
       add_block(g == e, first_pair[g] * k_, h.edge(g), own);
   }
@@ -89,29 +95,35 @@ class ConflictRows {
   /// Length of the row of (e, v, c), v the i-th vertex of e, for every c.
   [[nodiscard]] std::size_t row_size(std::size_t i) const;
 
-  /// Write the row of (e, v, c), v the i-th vertex of e: row_size(i)
-  /// ascending triple ids.
-  void write_row(std::size_t i, std::size_t c, VertexId* out) const;
+  /// Write the rows of (e, v, 1), ..., (e, v, k), v the i-th vertex of
+  /// e, back to back: k rows of row_size(i) ascending triple ids each.
+  void write_rows(std::size_t i, VertexId* out) const;
 
  private:
   struct Block {
-    bool own;                   // g == e
-    std::size_t first_triple;   // id of (g, first vertex, 1)
-    std::size_t size;           // |g|
-    std::size_t shared_begin;   // [begin, end) of g ∩ e in shared_
+    bool own;                    // g == e
+    std::size_t first_triple;    // id of (g, first vertex, 1)
+    std::size_t size;            // |g|
+    std::size_t shared_begin;    // [begin, end) of g ∩ e in shared_
     std::size_t shared_end;
+    std::size_t position_begin;  // |e| entries of position_
   };
 
   void add_block(bool own, std::size_t first_triple,
                  std::span<const VertexId> g, std::span<const VertexId> e);
   /// Position in g of the i-th vertex of e, or g's size when absent.
-  [[nodiscard]] std::size_t position_in(const Block& b, std::size_t i) const;
+  [[nodiscard]] std::size_t position_in(const Block& b, std::size_t i) const {
+    return position_[b.position_begin + i];
+  }
 
   std::size_t k_;
   std::vector<EdgeId> edges_;
   std::vector<Block> blocks_;
-  /// g ∩ e per block as (position in g, position in e), ascending.
-  std::vector<std::pair<std::size_t, std::size_t>> shared_;
+  /// Positions in g of g ∩ e per block, ascending.
+  std::vector<std::size_t> shared_;
+  /// Per block, the position in g of each vertex of e (g's size when
+  /// absent), in e's vertex order.
+  std::vector<std::size_t> position_;
 };
 
 class ConflictGraph {
@@ -157,7 +169,8 @@ class ConflictGraph {
     std::size_t total = 0;     // distinct edges of G_k
   };
   /// Tally the classes over all edges of G_k (an edge counts once per
-  /// class it belongs to; total counts it once).
+  /// class it belongs to; total counts it once).  Evaluates
+  /// edge_class_mask's predicates row by row, in O(1) per edge.
   [[nodiscard]] ClassCounts count_edge_classes() const;
 
   /// alpha(G_k) <= m: the E_edge cliques {(e,?,?)} partition V(G_k) into

@@ -283,16 +283,19 @@ DynamicConflictGraph::Delta DynamicConflictGraph::apply(const Mutation& mut) {
   std::vector<std::vector<TripleId>> gained(new_triples);
   std::size_t fresh_pairs = 0;  // fresh-fresh edges, seen from both ends
   ConflictRows rows(k_);
-  std::vector<VertexId> row;
+  std::vector<VertexId> pair_rows;  // the k rows of one incidence pair
   const Incidence incidence{edges_, incidence_};
   for (EdgeId ne = 0; ne < edges_.size(); ++ne) {
     if (!fresh[ne]) continue;
     rows.load(incidence, pair_offset_, ne);
     for (std::size_t i = 0; i < edges_[ne].size(); ++i) {
-      row.resize(rows.row_size(i));
-      for (std::size_t c = 1; c <= k_; ++c) {
-        const TripleId t = (pair_offset_[ne] + i) * k_ + (c - 1);
-        rows.write_row(i, c, row.data());
+      const std::size_t size = rows.row_size(i);
+      pair_rows.resize(k_ * size);
+      rows.write_rows(i, pair_rows.data());
+      for (std::size_t c0 = 0; c0 < k_; ++c0) {
+        const TripleId t = (pair_offset_[ne] + i) * k_ + c0;
+        const std::span<const VertexId> row(pair_rows.data() + c0 * size,
+                                            size);
         for (const VertexId x : row) {
           if (is_fresh[x]) {
             ++fresh_pairs;

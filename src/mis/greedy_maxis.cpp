@@ -48,9 +48,10 @@ std::vector<VertexId> greedy_min_degree_maxis(const Graph& g,
 
   std::vector<VertexId> out;
   while (alive_count > 0) {
-    // Parallel argmin over the alive vertices.  Quadratic overall, which
-    // is fine at experiment sizes; the bucket-queue variant in
-    // degeneracy_order is available if this ever shows up in profiles.
+    // Parallel argmin over the alive vertices: |I|·n reads in all.  On
+    // planted-instance conflict graphs that is about the 2|E| reads of
+    // the degree updates below, so a bucket queue (as in
+    // degeneracy_order) pays only when |I|·n ≫ |E|.
     const Cand best = runtime::parallel_reduce<Cand>(
         sched, {n, 0}, Cand{},
         [&](std::size_t lo, std::size_t hi, std::size_t) {

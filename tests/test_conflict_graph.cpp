@@ -37,11 +37,34 @@ std::set<std::pair<TripleId, TripleId>> brute_force_edges(
   return edges;
 }
 
+// Reference tally of the edge classes, straight from the per-edge
+// definition: edge_class_mask over every edge of G_k.
+ConflictGraph::ClassCounts per_edge_class_counts(const ConflictGraph& cg) {
+  ConflictGraph::ClassCounts counts;
+  for (auto [a, b] : cg.graph().edges()) {
+    const unsigned mask = cg.edge_class_mask(a, b);
+    EXPECT_NE(mask, 0u) << "edge " << a << "-" << b << " outside all classes";
+    if (mask & ConflictGraph::kEVertex) ++counts.e_vertex;
+    if (mask & ConflictGraph::kEEdge) ++counts.e_edge;
+    if (mask & ConflictGraph::kEColor) ++counts.e_color;
+    ++counts.total;
+  }
+  return counts;
+}
+
+// The edge set against the brute force, and every class count of
+// count_edge_classes against the per-edge tally.
 void expect_matches_definition(const ConflictGraph& cg) {
   std::set<std::pair<TripleId, TripleId>> actual;
   for (auto [a, b] : cg.graph().edges())
     actual.emplace(static_cast<TripleId>(a), static_cast<TripleId>(b));
   EXPECT_EQ(actual, brute_force_edges(cg));
+  const auto counts = cg.count_edge_classes();
+  const auto expected = per_edge_class_counts(cg);
+  EXPECT_EQ(counts.e_vertex, expected.e_vertex);
+  EXPECT_EQ(counts.e_edge, expected.e_edge);
+  EXPECT_EQ(counts.e_color, expected.e_color);
+  EXPECT_EQ(counts.total, expected.total);
 }
 
 TEST(ConflictGraphTest, SingleEdgeIsCompleteBlock) {
