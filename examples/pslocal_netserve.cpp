@@ -2,9 +2,10 @@
 //
 // Spins up a ServiceEngine and a net::Server on a loopback (or given)
 // address, prints the bound endpoint, and serves wire-protocol requests
-// until the duration elapses or SIGINT/SIGTERM arrives.  This is the
-// process half of the "Serving over TCP" quickstart (docs/net.md);
-// bench_net_throughput --connect=host:port is the matching load side.
+// until the duration elapses or SIGINT/SIGTERM arrives, then prints its
+// server stats and exits 0.  This is the process half of the "Serving
+// over TCP" quickstart (docs/net.md); pslocal_stats --connect=host:port
+// scrapes it from another process.
 //
 //   pslocal_netserve                          # ephemeral port, prints it
 //   pslocal_netserve --port=7411 --threads=4  # fixed port, solver pool

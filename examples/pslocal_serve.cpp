@@ -11,8 +11,9 @@
 //   pslocal_serve --replay-out=trace.json              # record
 //   pslocal_serve --replay-in=trace.json --threads=8   # verify bytes
 //
-// Knobs: --seed --requests --pool --n --m --k --clients
-// --queue-capacity --cache-entries --no-cache --kind=<name> --verbose.
+// Knobs: --seed --requests --pool --n --m --k --threads
+// --queue-capacity --cache-entries --no-cache --kind=<name> --verbose
+// --replay-out --replay-in.
 #include <iostream>
 #include <vector>
 

@@ -207,8 +207,8 @@ class ServiceEngine {
 
 /// Canonical single-line JSON of an engine stats snapshot (stable key
 /// order, integers only — safe to cmp across runs).  The shard tier
-/// reports one of these per backend engine, which is how per-shard
-/// serving and cache behavior shows up in BENCH_shard.json.
+/// reports one of these per backend engine, and every stats scrape
+/// carries one as its "engine" object.
 [[nodiscard]] std::string stats_json(const ServiceEngine::Stats& stats);
 
 }  // namespace pslocal::service

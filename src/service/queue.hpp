@@ -9,8 +9,9 @@
 // accept/reject sequence is deterministic (tests pin it by filling an
 // undrained queue).
 //
-// Depth is tracked in an obs histogram at every successful push, which is
-// how BENCH_service.json gets its queue-depth distribution.
+// Depth is tracked in the obs histogram service.queue.depth at every
+// successful push, so every obs snapshot (a stats scrape, a bench
+// report) carries the queue-depth distribution.
 #pragma once
 
 #include <condition_variable>

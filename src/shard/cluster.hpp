@@ -24,7 +24,7 @@ struct LocalClusterConfig {
   std::size_t shards = 2;
   /// Per-shard engine config (each shard gets its own engine + caches;
   /// cache capacity here is *per shard*, so total cache grows with the
-  /// shard count — the capacity-scaling story measured in BENCH_shard).
+  /// shard count).
   service::EngineConfig engine;
   /// Per-shard server knobs; port is always ephemeral loopback.
   std::size_t io_threads = 1;

@@ -80,7 +80,8 @@ class ShardClient {
   [[nodiscard]] Stats stats() const;
 
   /// Requests sent to each shard (winner and loser sends alike) — the
-  /// shard-imbalance view reported in BENCH_shard.json.
+  /// shard-imbalance view pslocal_shard prints and perfbench reads as
+  /// shard.max_shard_share.
   [[nodiscard]] std::vector<std::uint64_t> routed_per_shard() const;
 
   [[nodiscard]] const ShardRouter& router() const { return router_; }

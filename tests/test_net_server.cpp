@@ -1,6 +1,7 @@
 // net/server: end-to-end serving over real loopback sockets — payload
-// parity with in-process execution, cache visibility, the typed-NACK
-// backpressure contract, and per-connection fault isolation.
+// parity with in-process execution over one and over several concurrent
+// connections, cache visibility, the typed-NACK backpressure contract,
+// and per-connection fault isolation.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +11,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/client.hpp"
@@ -24,7 +27,7 @@
 namespace pslocal::net {
 namespace {
 
-service::Trace small_trace() {
+service::TraceParams small_trace_params() {
   service::TraceParams tp;
   tp.seed = 11;
   tp.requests = 12;
@@ -32,7 +35,11 @@ service::Trace small_trace() {
   tp.n = 32;
   tp.m = 24;
   tp.k = 3;
-  return service::generate_trace(tp);
+  return tp;
+}
+
+service::Trace small_trace() {
+  return service::generate_trace(small_trace_params());
 }
 
 Client make_client(const Server& server) {
@@ -41,39 +48,79 @@ Client make_client(const Server& server) {
   return Client(cc);
 }
 
-TEST(NetServerTest, EndToEndCallMatchesInProcessExecution) {
-  const service::Trace trace = small_trace();
-  service::ServiceEngine engine;
+/// Serves `trace` from `connections` client threads, each on its own
+/// connection and taking the next unclaimed trace index, through a
+/// Server with `io_threads` loops in front of an engine on `cfg`.  Every
+/// response must carry the payload execute_request computes in-process,
+/// no client may end with an unresolved or unclaimed frame, and the
+/// server must answer every frame it read.
+void check_calls_match_in_process_execution(const service::Trace& trace,
+                                            std::size_t connections,
+                                            const service::EngineConfig& cfg,
+                                            std::size_t io_threads) {
+  runtime::ThreadPool direct_pool(1);
+  std::vector<std::string> expected;
+  expected.reserve(trace.requests.size());
+  for (const service::Request& req : trace.requests)
+    expected.push_back(service::execute_request(req, direct_pool));
+
+  service::ServiceEngine engine(cfg);
   engine.start();
-  Server server(engine, {});
+  Server::Config sc;
+  sc.io_threads = io_threads;
+  Server server(engine, sc);
   server.start();
 
-  Client client = make_client(server);
-  client.connect();
-
-  runtime::ThreadPool direct_pool(1);
-  for (const service::Request& req : trace.requests) {
-    const Client::Result r = client.call(req);
-    ASSERT_EQ(r.outcome, Client::Outcome::kOk) << r.error;
-    EXPECT_EQ(r.response.key, service::cache_key(req));
-    // The bytes that crossed the wire are the canonical payload the
-    // library computes in-process for the same request.
-    EXPECT_EQ(r.response.result, service::execute_request(req, direct_pool));
-    EXPECT_GT(r.rtt_ns, 0u);
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < connections; ++c) {
+    clients.emplace_back([&] {
+      Client client = make_client(server);
+      client.connect();
+      for (std::size_t i = next.fetch_add(1); i < trace.requests.size();
+           i = next.fetch_add(1)) {
+        const service::Request& req = trace.requests[i];
+        const Client::Result r = client.call(req);
+        ASSERT_EQ(r.outcome, Client::Outcome::kOk) << r.error;
+        EXPECT_EQ(r.response.key, service::cache_key(req));
+        // The bytes that crossed the wire are the canonical payload the
+        // library computes in-process for the same request.
+        EXPECT_EQ(r.response.result, expected[i]);
+        EXPECT_GT(r.rtt_ns, 0u);
+      }
+      EXPECT_EQ(client.inflight(), 0u);
+      EXPECT_EQ(client.parked(), 0u);
+    });
   }
-  EXPECT_EQ(client.inflight(), 0u);
-  EXPECT_EQ(client.parked(), 0u);
+  for (auto& t : clients) t.join();
 
   // An io loop counts a frame after send() returns, which can be after
   // the client already holds the reply; stop() joins the loops first.
   server.stop();
   const Server::Stats stats = server.stats();
-  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.accepted, connections);
   EXPECT_EQ(stats.frames_rx, trace.requests.size());
   EXPECT_EQ(stats.frames_tx, trace.requests.size());
   EXPECT_EQ(stats.requests_dispatched, trace.requests.size());
   EXPECT_EQ(stats.decode_errors, 0u);
   EXPECT_EQ(stats.nacks_queue_full, 0u);
+}
+
+TEST(NetServerTest, EndToEndCallMatchesInProcessExecution) {
+  check_calls_match_in_process_execution(small_trace(), 1, {}, 1);
+}
+
+TEST(NetServerTest, ConcurrentConnectionsMatchInProcessExecution) {
+  // Four client threads, each on its own connection, to a 4-lane engine
+  // behind two io loops, over a trace with mutate requests mixed in.
+  service::TraceParams tp = small_trace_params();
+  tp.requests = 48;
+  tp.weight_mutate = 25;
+  runtime::ThreadPool lanes(4);
+  service::EngineConfig cfg;
+  cfg.scheduler = &lanes;
+  check_calls_match_in_process_execution(service::generate_trace(tp), 4, cfg,
+                                         2);
 }
 
 TEST(NetServerTest, RepeatedRequestIsServedFromCache) {

@@ -266,16 +266,24 @@ TEST(ServiceEngineTest, FillsInstanceHashWhenCallerLeavesItZero) {
   EXPECT_EQ(resp.key, cache_key(keyed));
 }
 
+/// Eight closed-loop clients share one trace with mutate requests mixed
+/// in, retrying on kQueueFull.  Every request is served, and the
+/// payloads are byte-identical to the same trace served serially on an
+/// engine with both caches off, where repeated mutate scripts are served
+/// from the mutation sessions instead.  The TSan and ASan jobs run this
+/// as their serving smoke.
 void check_concurrent_clients_all_served(const EngineConfig& cfg) {
   TraceParams tp = small_trace_params();
-  tp.requests = 200;
+  tp.requests = 300;
+  tp.weight_mutate = 25;
   const Trace trace = generate_trace(tp);
   ServiceEngine engine(cfg);
   engine.start();
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> served{0}, retried{0};
+  std::atomic<std::size_t> served{0};
+  std::vector<ReplayEntry> entries(trace.requests.size());
   std::vector<std::thread> clients;
-  for (int c = 0; c < 4; ++c) {
+  for (int c = 0; c < 8; ++c) {
     clients.emplace_back([&] {
       for (;;) {
         const std::size_t i = next.fetch_add(1);
@@ -283,13 +291,13 @@ void check_concurrent_clients_all_served(const EngineConfig& cfg) {
         for (;;) {
           auto sub = engine.submit(trace.requests[i]);
           if (sub.admission == Admission::kQueueFull) {
-            retried.fetch_add(1);
             std::this_thread::yield();
             continue;
           }
           ASSERT_EQ(sub.admission, Admission::kAccepted);
           const Response resp = sub.response.get();
-          ASSERT_EQ(resp.status, Response::Status::kOk);
+          ASSERT_EQ(resp.status, Response::Status::kOk) << resp.reason;
+          entries[i] = {resp.id, resp.key, resp.result};
           served.fetch_add(1);
           break;
         }
@@ -299,6 +307,15 @@ void check_concurrent_clients_all_served(const EngineConfig& cfg) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(served.load(), trace.requests.size());
   EXPECT_EQ(engine.stats().served, trace.requests.size());
+
+  EngineConfig uncached = cfg;
+  uncached.cache.enabled = false;
+  uncached.graph_cache_entries = 0;
+  const auto verdict = verify_replay(serve_all(trace, uncached), entries);
+  EXPECT_TRUE(verdict.identical)
+      << verdict.mismatches << " mismatches, first id "
+      << verdict.first_mismatch_id;
+  EXPECT_EQ(verdict.compared, trace.requests.size());
 }
 
 TEST(ServiceEngineTest, ConcurrentClientsAllServed) {
