@@ -41,12 +41,15 @@ int main(int argc, char** argv) {
     // Zero out every weight except the requested kind.
     tp.weight_build = tp.weight_greedy = tp.weight_luby = 0;
     tp.weight_cf = tp.weight_reduction = 0;
+    tp.weight_exact = tp.weight_mutate = 0;
     switch (service::kind_from_name(only_kind)) {
       case service::RequestKind::kBuildConflictGraph: tp.weight_build = 1; break;
       case service::RequestKind::kGreedyMaxis: tp.weight_greedy = 1; break;
       case service::RequestKind::kLubyMis: tp.weight_luby = 1; break;
       case service::RequestKind::kCfColor: tp.weight_cf = 1; break;
       case service::RequestKind::kRunReduction: tp.weight_reduction = 1; break;
+      case service::RequestKind::kExactCertificate: tp.weight_exact = 1; break;
+      case service::RequestKind::kMutateHypergraph: tp.weight_mutate = 1; break;
     }
   }
   const service::Trace trace = service::generate_trace(tp);

@@ -111,6 +111,10 @@ ConflictGraph::ConflictGraph(Hypergraph h, std::size_t k,
                              runtime::Scheduler& sched)
     : h_(std::move(h)), k_(k) {
   PSL_EXPECTS(k_ >= 1);
+  // Triple ids are 32-bit, so no larger k fits a non-empty G_k; checking
+  // it first keeps pair_count * k_ below from wrapping.
+  PSL_EXPECTS_MSG(k_ < (std::uint64_t{1} << 32),
+                  "conflict parameter k = " << k_ << " exceeds 2^32 - 1");
   PSL_OBS_SPAN("conflict_graph.build");
   const std::size_t m = h_.edge_count();
 

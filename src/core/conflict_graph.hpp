@@ -130,6 +130,7 @@ class ConflictGraph {
  public:
   /// Build G_k for conflict-free k-coloring of h.  The hypergraph is
   /// copied so the conflict graph stays valid independently of h.
+  /// PSL_EXPECTS 1 <= k < 2^32 and fewer than 2^32 triples.
   /// The row-length and row-fill passes of ConflictRows fan out over
   /// hyperedges on `sched`; every row depends on h alone, so the graph
   /// is bit-identical at every thread count

@@ -10,22 +10,24 @@
 // triples into one (unbounded) LOCAL message to its H-neighbors, and each
 // receiving host routes payloads to its triples along G_k adjacency.
 //
-// Guarantees enforced at runtime:
+// Guarantees:
 //  * routing legality: every G_k edge joins triples whose hosts coincide
-//    or are adjacent in H's primal graph (checked for every delivery), so
-//    one virtual round costs exactly one physical round;
-//  * semantic equivalence: with the same seed, the virtual execution is
-//    *bit-identical* to running the algorithm directly on G_k (per-node
-//    RNG streams and inbox ordering are reproduced exactly) — tests
+//    or are adjacent in H's primal graph, checked for every edge before
+//    the run, so every delivery takes one hop and one virtual round costs
+//    exactly one physical round;
+//  * semantic equivalence: the virtual execution *is* run_local() on G_k
+//    (same per-node RNG streams, same inbox order), so with the same seed
+//    it is bit-identical to running the algorithm directly on G_k — tests
 //    assert equality of final states via the caller's comparator.
 //
-// The run also reports the congestion figures (physical message bytes)
+// A round observer bills the congestion figures (physical message bytes)
 // that a bandwidth-capped model (CONGEST) would charge — quantifying how
 // hard the simulation leans on LOCAL's unbounded messages.
 #pragma once
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/conflict_graph.hpp"
@@ -47,7 +49,6 @@ struct VirtualRunResult {
 };
 
 /// Execute `algo` on cg.graph(), hosted on cg.hypergraph()'s primal graph.
-/// Mirrors run_local()'s scheduling and seeding exactly.
 template <typename State, typename Msg>
 VirtualRunResult<State> run_local_on_hosts(const ConflictGraph& cg,
                                            BroadcastAlgorithm<State, Msg>& algo,
@@ -55,16 +56,9 @@ VirtualRunResult<State> run_local_on_hosts(const ConflictGraph& cg,
                                            std::size_t max_rounds) {
   const Graph& gk = cg.graph();
   const Graph primal = cg.hypergraph().primal_graph();
-  const std::size_t n_virtual = gk.vertex_count();
-  const std::size_t n_hosts = cg.hypergraph().vertex_count();
 
-  // Host of each virtual node, and the triples each host carries.
-  std::vector<VertexId> host_of(n_virtual);
-  std::vector<std::vector<VertexId>> hosted(n_hosts);
-  for (VertexId t = 0; t < n_virtual; ++t) {
-    host_of[t] = cg.triple(t).v;
-    hosted[host_of[t]].push_back(t);
-  }
+  std::vector<VertexId> host_of(gk.vertex_count());
+  for (TripleId t = 0; t < host_of.size(); ++t) host_of[t] = cg.triple(t).v;
   // Routing legality: every virtual edge must be deliverable in one hop.
   for (auto [a, b] : gk.edges()) {
     const VertexId ha = host_of[a], hb = host_of[b];
@@ -74,69 +68,26 @@ VirtualRunResult<State> run_local_on_hosts(const ConflictGraph& cg,
                               << hb);
   }
 
-  // Per-virtual-node RNG streams, identical to run_local's.
-  Rng base(seed);
-  std::vector<Rng> node_rng;
-  node_rng.reserve(n_virtual);
-  for (VertexId t = 0; t < n_virtual; ++t) node_rng.push_back(base.split(t));
-
+  // Each round, every host sends one bundled message: the virtual
+  // messages of its triples, plus a routing id each.
   VirtualRunResult<State> run;
-  run.states.reserve(n_virtual);
-  for (VertexId t = 0; t < n_virtual; ++t)
-    run.states.push_back(algo.init(t, gk, node_rng[t]));
-
-  std::vector<std::optional<Msg>> outbox(n_virtual);
-  std::vector<std::optional<Msg>> inbox;
-  while (run.physical_rounds < max_rounds) {
-    bool all_halted = true;
-    for (VertexId t = 0; t < n_virtual; ++t)
-      if (!algo.halted(t, run.states[t])) {
-        all_halted = false;
-        break;
-      }
-    if (all_halted) {
-      run.all_halted = true;
-      break;
-    }
-
-    // Virtual emits (from pre-round states), billed as one bundled
-    // physical message per host.
-    for (VertexId t = 0; t < n_virtual; ++t)
-      outbox[t] = algo.emit(t, run.states[t]);
-    for (VertexId h = 0; h < n_hosts; ++h) {
-      std::size_t bytes = 0;
-      for (VertexId t : hosted[h])
-        if (outbox[t]) bytes += algo.message_size(*outbox[t]) + 8;
-      if (bytes > 0) {
-        run.max_physical_message_bytes =
-            std::max(run.max_physical_message_bytes, bytes);
-        run.total_physical_message_bytes += bytes;
-      }
-    }
-
-    // Delivery + step: the inbox of virtual node t is assembled in
-    // gk.neighbors(t) order — exactly as run_local does — after checking
-    // each payload is reachable within one physical hop.
-    for (VertexId t = 0; t < n_virtual; ++t) {
-      if (algo.halted(t, run.states[t])) continue;
-      const auto nb = gk.neighbors(t);
-      inbox.assign(nb.size(), std::nullopt);
-      for (std::size_t i = 0; i < nb.size(); ++i) {
-        const VertexId ht = host_of[t];
-        const VertexId hs = host_of[nb[i]];
-        PSL_CHECK(ht == hs || primal.has_edge(ht, hs));
-        inbox[i] = outbox[nb[i]];
-      }
-      algo.step(t, run.states[t], inbox, node_rng[t]);
-    }
-    ++run.physical_rounds;
-  }
-  if (!run.all_halted) {
-    bool all_halted = true;
-    for (VertexId t = 0; t < n_virtual; ++t)
-      if (!algo.halted(t, run.states[t])) all_halted = false;
-    run.all_halted = all_halted;
-  }
+  std::vector<std::size_t> host_bytes(cg.hypergraph().vertex_count());
+  auto local = run_local(
+      gk, algo, seed, max_rounds, runtime::global_scheduler(),
+      [&](std::span<const std::optional<Msg>> outbox) {
+        std::fill(host_bytes.begin(), host_bytes.end(), 0);
+        for (TripleId t = 0; t < outbox.size(); ++t)
+          if (outbox[t])
+            host_bytes[host_of[t]] += algo.message_size(*outbox[t]) + 8;
+        for (std::size_t bytes : host_bytes) {
+          run.max_physical_message_bytes =
+              std::max(run.max_physical_message_bytes, bytes);
+          run.total_physical_message_bytes += bytes;
+        }
+      });
+  run.states = std::move(local.states);
+  run.physical_rounds = local.rounds;
+  run.all_halted = local.all_halted;
   return run;
 }
 

@@ -1,8 +1,8 @@
-// CONGEST-mode execution: the same synchronous broadcast semantics as
-// run_local(), but with a per-edge bandwidth cap of B bytes per physical
-// round.  A broadcast of s bytes is fragmented into ceil(s/B) fragments;
-// the system stays synchronous, so an algorithm round costs
-// max_v ceil(size(msg_v)/B) physical rounds.
+// CONGEST-mode execution: run_local()'s synchronous broadcast rounds,
+// billed under a per-edge bandwidth cap of B bytes per physical round.
+// A broadcast of s bytes is fragmented into ceil(s/B) fragments; the
+// system stays synchronous, so an algorithm round costs
+// max_v ceil(size(msg_v)/B) physical rounds (1 for a silent round).
 //
 // The paper's model is LOCAL precisely because the G_k simulation bundles
 // up to max-host-load virtual messages into one physical message
@@ -10,6 +10,7 @@
 // cap quantifies what that unboundedness buys (experiment E9/E14 columns).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "local/simulator.hpp"
@@ -24,9 +25,9 @@ struct CongestRunResult {
   std::size_t max_fragments_per_round = 0;
 };
 
-/// Execute `algo` with bandwidth cap B >= 1 byte.  Semantics (states,
-/// outputs, algorithm rounds) are identical to run_local; only the
-/// physical-round bill differs.
+/// Execute `algo` with bandwidth cap B >= 1 byte.  The run is run_local's
+/// (states, outputs, algorithm rounds, message accounting); a round
+/// observer adds the physical-round bill.
 template <typename State, typename Msg>
 CongestRunResult<State> run_congest(const Graph& g,
                                     BroadcastAlgorithm<State, Msg>& algo,
@@ -34,69 +35,20 @@ CongestRunResult<State> run_congest(const Graph& g,
                                     std::size_t max_rounds,
                                     std::size_t bandwidth_bytes) {
   PSL_EXPECTS(bandwidth_bytes >= 1);
-  // The scheduling mirrors run_local() exactly (same seeding, same round
-  // structure); only the per-round fragment billing is added.
   CongestRunResult<State> out;
   out.bandwidth_bytes = bandwidth_bytes;
-
-  const std::size_t n = g.vertex_count();
-  Rng base(seed);
-  std::vector<Rng> node_rng;
-  node_rng.reserve(n);
-  for (VertexId v = 0; v < n; ++v) node_rng.push_back(base.split(v));
-
-  auto& run = out.local;
-  run.states.reserve(n);
-  for (VertexId v = 0; v < n; ++v)
-    run.states.push_back(algo.init(v, g, node_rng[v]));
-
-  std::vector<std::optional<Msg>> outbox(n);
-  std::vector<std::optional<Msg>> inbox;
-  while (run.rounds < max_rounds) {
-    bool all_halted = true;
-    for (VertexId v = 0; v < n; ++v)
-      if (!algo.halted(v, run.states[v])) {
-        all_halted = false;
-        break;
-      }
-    if (all_halted) {
-      run.all_halted = true;
-      break;
-    }
-    std::size_t round_max_bytes = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      outbox[v] = algo.emit(v, run.states[v]);
-      if (outbox[v]) {
-        const std::size_t bytes = algo.message_size(*outbox[v]);
-        ++run.messages_sent;
-        run.total_message_bytes += bytes;
-        run.max_message_bytes = std::max(run.max_message_bytes, bytes);
-        round_max_bytes = std::max(round_max_bytes, bytes);
-      }
-    }
-    const std::size_t fragments =
-        round_max_bytes == 0
-            ? 1
-            : (round_max_bytes + bandwidth_bytes - 1) / bandwidth_bytes;
-    out.physical_rounds += fragments;
-    out.max_fragments_per_round =
-        std::max(out.max_fragments_per_round, fragments);
-
-    for (VertexId v = 0; v < n; ++v) {
-      if (algo.halted(v, run.states[v])) continue;
-      const auto nb = g.neighbors(v);
-      inbox.assign(nb.size(), std::nullopt);
-      for (std::size_t i = 0; i < nb.size(); ++i) inbox[i] = outbox[nb[i]];
-      algo.step(v, run.states[v], inbox, node_rng[v]);
-    }
-    ++run.rounds;
-  }
-  if (!run.all_halted) {
-    bool all_halted = true;
-    for (VertexId v = 0; v < n; ++v)
-      if (!algo.halted(v, run.states[v])) all_halted = false;
-    run.all_halted = all_halted;
-  }
+  out.local = run_local(
+      g, algo, seed, max_rounds, runtime::global_scheduler(),
+      [&](std::span<const std::optional<Msg>> outbox) {
+        std::size_t max_bytes = 0;
+        for (const auto& msg : outbox)
+          if (msg) max_bytes = std::max(max_bytes, algo.message_size(*msg));
+        const std::size_t fragments = std::max<std::size_t>(
+            1, (max_bytes + bandwidth_bytes - 1) / bandwidth_bytes);
+        out.physical_rounds += fragments;
+        out.max_fragments_per_round =
+            std::max(out.max_fragments_per_round, fragments);
+      });
   return out;
 }
 

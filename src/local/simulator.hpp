@@ -27,6 +27,11 @@
 // free of shared mutable state outside the vertex's own State (all
 // in-tree algorithms are; per-vertex-slot members like Linial's round
 // table are fine).
+//
+// This is the library's only round loop.  Models that bill the same
+// rounds differently pass a round observer: run_congest()
+// (local/congest.hpp) charges bandwidth fragments, run_local_on_hosts()
+// (core/virtual_local.hpp) charges bundled host messages.
 #pragma once
 
 #include <cstddef>
@@ -87,8 +92,6 @@ struct LocalRunResult {
   std::size_t total_message_bytes = 0; // sum of broadcast payload sizes
 };
 
-/// Run the algorithm until every node halts or `max_rounds` is reached.
-/// The emit and step sweeps of each round fan out on `sched`.
 namespace detail {
 /// Shared across every run_local instantiation (obs dedupes by name).
 struct LocalSimMetrics {
@@ -104,11 +107,23 @@ struct LocalSimMetrics {
 };
 }  // namespace detail
 
-template <typename State, typename Msg>
+/// The default round observer: sees nothing.
+struct NoRoundObserver {
+  void operator()(const auto&) const {}
+};
+
+/// Run the algorithm until every node halts or `max_rounds` is reached.
+/// The emit and step sweeps of each round fan out on `sched`.  After each
+/// round's emit sweep, `observe(outbox)` runs on the calling thread, where
+/// outbox is a std::span<const std::optional<Msg>> and outbox[v] is what
+/// v broadcasts this round.
+template <typename State, typename Msg,
+          typename RoundObserver = NoRoundObserver>
 LocalRunResult<State> run_local(
     const Graph& g, BroadcastAlgorithm<State, Msg>& algo, std::uint64_t seed,
     std::size_t max_rounds,
-    runtime::Scheduler& sched = runtime::global_scheduler()) {
+    runtime::Scheduler& sched = runtime::global_scheduler(),
+    RoundObserver&& observe = {}) {
   PSL_OBS_SPAN("local.run");
   const auto& obs_metrics = detail::LocalSimMetrics::get();
   obs_metrics.runs.add(1);
@@ -180,6 +195,7 @@ LocalRunResult<State> run_local(
     run.messages_sent += acct.sent;
     run.total_message_bytes += acct.total_bytes;
     run.max_message_bytes = std::max(run.max_message_bytes, acct.max_bytes);
+    observe(std::span<const std::optional<Msg>>(outbox));
 
     // ...then everyone steps on its neighbors' messages.
     {

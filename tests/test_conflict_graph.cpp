@@ -147,6 +147,14 @@ TEST(ConflictGraphTest, TripleIdContracts) {
   EXPECT_THROW((void)cg.triple(999), ContractViolation);
 }
 
+TEST(ConflictGraphTest, HugeKIsRejectedBeforeTheTripleCount) {
+  // Σ|e| = 2, so Σ|e| * 2^63 wraps to 0 triples in 64 bits.
+  const Hypergraph h(2, {{0, 1}});
+  EXPECT_THROW(ConflictGraph(h, std::size_t{1} << 63), ContractViolation);
+  EXPECT_THROW(ConflictGraph(h, std::size_t{1} << 32), ContractViolation);
+  EXPECT_THROW(ConflictGraph(h, std::size_t{1} << 31), ContractViolation);
+}
+
 TEST(ConflictGraphTest, VertexCountFormula) {
   Rng rng(11);
   PlantedCfParams params;

@@ -74,6 +74,10 @@ TEST(CongestTest, SemanticsMatchLocalExactly) {
   for (std::size_t v = 0; v < local.states.size(); ++v)
     EXPECT_EQ(local.states[v].informed, congest.local.states[v].informed);
   EXPECT_EQ(local.rounds, congest.local.rounds);
+  EXPECT_EQ(local.all_halted, congest.local.all_halted);
+  EXPECT_EQ(local.messages_sent, congest.local.messages_sent);
+  EXPECT_EQ(local.max_message_bytes, congest.local.max_message_bytes);
+  EXPECT_EQ(local.total_message_bytes, congest.local.total_message_bytes);
   // Bandwidth above message size: one fragment per round.
   EXPECT_EQ(congest.physical_rounds, congest.local.rounds);
   EXPECT_EQ(congest.max_fragments_per_round, 1u);

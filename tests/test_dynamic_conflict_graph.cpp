@@ -113,7 +113,9 @@ TEST(DynamicConflictGraphTest, RemoveEdgeRemapIsMonotone) {
   bool first = true;
   for (TripleId t = 0; t < before; ++t) {
     if (delta.remap[t] == DynamicConflictGraph::kRemoved) continue;
-    if (!first) EXPECT_GT(delta.remap[t], last);
+    if (!first) {
+      EXPECT_GT(delta.remap[t], last);
+    }
     last = delta.remap[t];
     first = false;
   }
@@ -154,6 +156,13 @@ TEST(DynamicConflictGraphTest, RandomScriptsMatchRebuildAtEveryPrefix) {
           << "seed " << seed << " step " << step << " mut " << describe(mut);
     }
   }
+}
+
+TEST(DynamicConflictGraphTest, HugeKIsRejectedEvenWithoutEdges) {
+  // An edgeless start has 0 triples at any k; an added edge would then
+  // multiply its incidences by k in apply().
+  EXPECT_THROW(DynamicConflictGraph(Hypergraph(2, {}), std::size_t{1} << 63),
+               ContractViolation);
 }
 
 TEST(DynamicConflictGraphTest, TripleDecodeTracksLayout) {

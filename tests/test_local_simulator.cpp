@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace pslocal {
 namespace {
@@ -92,6 +96,68 @@ TEST(LocalSimulatorTest, ZeroRoundsWhenEveryoneStartsHalted) {
   const auto run = run_local(g, algo, 1, 100);
   EXPECT_EQ(run.rounds, 0u);
   EXPECT_TRUE(run.all_halted);
+}
+
+// Flooding with variable-size broadcasts: informed node v sends v + 1
+// bytes, so the largest payload shows how far the token has got.
+class SizedFlood final : public BroadcastAlgorithm<FloodState, VertexId> {
+ public:
+  explicit SizedFlood(std::size_t stop_after) : stop_after_(stop_after) {}
+
+  FloodState init(VertexId v, const Graph&, Rng&) override {
+    FloodState s;
+    s.informed = v == 0;
+    return s;
+  }
+  std::optional<VertexId> emit(VertexId v, const FloodState& s) override {
+    if (s.informed) return v;
+    return std::nullopt;
+  }
+  void step(VertexId, FloodState& s,
+            std::span<const std::optional<VertexId>> inbox, Rng&) override {
+    ++s.round;
+    for (const auto& m : inbox) s.informed = s.informed || m.has_value();
+  }
+  bool halted(VertexId, const FloodState& s) override {
+    return s.round >= stop_after_;
+  }
+  std::size_t message_size(const VertexId& v) const override { return v + 1; }
+
+ private:
+  std::size_t stop_after_;
+};
+
+TEST(LocalSimulatorTest, RoundObserverSeesEveryRoundsBroadcasts) {
+  // On a path from node 0, round r's broadcasters are nodes 0..r-1, so
+  // r rounds send r(r+1)/2 messages and the largest is r bytes.
+  const Graph g = path(30);
+  runtime::ThreadPool pool(2);
+  for (const std::size_t cap : {100u, 6u}) {  // halts after 10; cut at 6
+    SizedFlood algo(/*stop_after=*/10);
+    const auto caller = std::this_thread::get_id();
+    std::size_t rounds = 0, messages = 0, max_bytes = 0;
+    const auto run = run_local(
+        g, algo, 1, cap, pool,
+        [&](std::span<const std::optional<VertexId>> outbox) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          ASSERT_EQ(outbox.size(), g.vertex_count());
+          ++rounds;
+          for (VertexId v = 0; v < outbox.size(); ++v) {
+            EXPECT_EQ(outbox[v].has_value(), v < rounds) << "v=" << v;
+            if (!outbox[v]) continue;
+            ++messages;
+            max_bytes = std::max(max_bytes, algo.message_size(*outbox[v]));
+          }
+        });
+    const std::size_t expected = std::min<std::size_t>(cap, 10);
+    EXPECT_EQ(run.all_halted, cap > 10);
+    EXPECT_EQ(run.rounds, expected);
+    EXPECT_EQ(rounds, run.rounds);
+    EXPECT_EQ(messages, run.messages_sent);
+    EXPECT_EQ(run.messages_sent, expected * (expected + 1) / 2);
+    EXPECT_EQ(max_bytes, run.max_message_bytes);
+    EXPECT_EQ(run.max_message_bytes, expected);
+  }
 }
 
 // Determinism: per-node RNG substreams are seeded from the run seed only.

@@ -73,8 +73,9 @@ TEST(QcFaultTest, FaultPlansAbsorbedOnSeededTraces) {
     EXPECT_EQ(report.served, trace.requests.size()) << "seed " << seed;
     // The burst was sized past the queue, so rejections really happened.
     if (plan.burst > plan.queue_capacity &&
-        trace.requests.size() >= plan.burst)
+        trace.requests.size() >= plan.burst) {
       EXPECT_GT(report.probe_rejected_full, 0u) << "seed " << seed;
+    }
   }
 }
 

@@ -250,6 +250,26 @@ TEST(ServiceEngineTest, SolverErrorYieldsErrorResponseNotCrash) {
   EXPECT_EQ(engine.stats().errors, 1u);
 }
 
+TEST(ServiceEngineTest, HugeKIsAnErrorResponseAndTheLaneServesOn) {
+  // Σ|e| = 2, so Σ|e| * 2^63 wraps to 0 triples in 64 bits: k itself
+  // must be rejected, or the G_k build writes past its offset array.
+  const Trace trace = generate_trace(small_trace_params());
+  Request req = build_request(trace, 0, std::size_t{1} << 63);
+  req.instance = std::make_shared<const Hypergraph>(
+      2, std::vector<std::vector<VertexId>>{{0, 1}});
+  req.instance_hash = 0;
+  ServiceEngine engine;
+  engine.start();
+  auto sub = engine.submit(req);
+  ASSERT_EQ(sub.admission, Admission::kAccepted);
+  const Response resp = sub.response.get();
+  EXPECT_EQ(resp.status, Response::Status::kError);
+  EXPECT_FALSE(resp.reason.empty());
+  auto next = engine.submit(trace.requests[1]);
+  ASSERT_EQ(next.admission, Admission::kAccepted);
+  EXPECT_EQ(next.response.get().status, Response::Status::kOk);
+}
+
 TEST(ServiceEngineTest, FillsInstanceHashWhenCallerLeavesItZero) {
   const Trace trace = generate_trace(small_trace_params());
   Request req = trace.requests[0];
