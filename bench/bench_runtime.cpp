@@ -1,5 +1,5 @@
-// Runtime experiment: scaling of the work-stealing scheduler on the
-// library's parallel hot paths, with the determinism contract enforced.
+// Runtime experiment: scaling of the thread pool on the library's
+// parallel hot paths, with the determinism contract enforced.
 //
 // For each thread count in {1, 2, 4, 8} the bench runs
 //   (a) conflict-graph construction (rows written in parallel by edge),
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const std::size_t reps = opts.get_int("reps", 3);
 
   // Planted instance sized so G_k has over 10^5 edges (checked below) —
-  // big enough for stealing to matter.
+  // big enough for several lanes to matter.
   PlantedCfParams params;
   params.n = opts.get_int("n", 256);
   params.m = opts.get_int("m", 256);

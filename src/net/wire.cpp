@@ -240,8 +240,7 @@ bool decode_request(std::string_view payload, service::Request& out,
   if (!r.read_u8(kind) || !r.read_u64(k) || !r.read_u64(seed) ||
       !r.read_string(solver) || !r.read_string(instance_bytes))
     return set_error(error, "request payload truncated");
-  if (kind >
-      static_cast<std::uint8_t>(service::RequestKind::kMutateHypergraph))
+  if (kind >= service::kRequestKindCount)
     return set_error(error,
                      "unknown request kind " + std::to_string(kind));
   std::vector<Mutation> script;

@@ -231,7 +231,8 @@ net::wire::Frame arbitrary_frame(Rng& rng) {
     case 0: {
       frame.kind = net::wire::FrameKind::kRequest;
       service::Request req;
-      req.kind = static_cast<service::RequestKind>(rng.next_below(7));
+      req.kind = static_cast<service::RequestKind>(
+          rng.next_below(service::kRequestKindCount));
       req.k = 1 + rng.next_below(5);
       req.seed = rng.next_u64();
       req.solver = rng.next_bool(0.5) ? "greedy-mindeg" : "luby";

@@ -6,9 +6,9 @@
 // over [0, n).  A task batch is the other shape — a short vector of
 // distinct closures (say, one per cache miss) with wildly different
 // costs.  run_task_batch maps each task to a one-element chunk (grain 1)
-// so the work-stealing pool can rebalance whole tasks between lanes,
-// while keeping the Scheduler contract: each task runs exactly once, and
-// any cross-task combining the caller does afterwards is in task order.
+// so each lane claims the next task as soon as it is free, while keeping
+// the Scheduler contract: each task runs exactly once, and any
+// cross-task combining the caller does afterwards is in task order.
 //
 // Tasks may themselves call parallel primitives on the same scheduler:
 // nested regions run sequentially inline (runtime/thread_pool.hpp), so a

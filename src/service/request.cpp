@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include <algorithm>
+#include <iterator>
 
 #include "coloring/cf_baselines.hpp"
 #include "core/conflict_graph.hpp"
@@ -34,6 +35,8 @@ constexpr std::uint64_t kKindSalt[] = {
     0x65786374ULL,  // exact_certificate
     0x6d757461ULL,  // mutate_hypergraph
 };
+static_assert(std::size(kKindSalt) == kRequestKindCount,
+              "one cache-key salt per RequestKind");
 
 void append_vertex_list(std::ostringstream& os, const char* field,
                         const std::vector<VertexId>& vs) {
@@ -335,11 +338,8 @@ const char* kind_name(RequestKind kind) {
 }
 
 RequestKind kind_from_name(const std::string& name) {
-  for (const RequestKind kind :
-       {RequestKind::kBuildConflictGraph, RequestKind::kGreedyMaxis,
-        RequestKind::kLubyMis, RequestKind::kCfColor,
-        RequestKind::kRunReduction, RequestKind::kExactCertificate,
-        RequestKind::kMutateHypergraph}) {
+  for (std::size_t i = 0; i < kRequestKindCount; ++i) {
+    const auto kind = static_cast<RequestKind>(i);
     if (name == kind_name(kind)) return kind;
   }
   PSL_CHECK_MSG(false, "service: unknown request kind '" << name << "'");

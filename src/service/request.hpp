@@ -37,6 +37,10 @@ enum class RequestKind : std::uint8_t {
   kMutateHypergraph,    // apply a mutation script + MIS repair per step
 };
 
+/// Number of RequestKind enumerators; sizes every per-kind table.
+inline constexpr std::size_t kRequestKindCount =
+    static_cast<std::size_t>(RequestKind::kMutateHypergraph) + 1;
+
 /// Stable wire name ("build_conflict_graph", "greedy_maxis", ...).
 [[nodiscard]] const char* kind_name(RequestKind kind);
 
@@ -96,11 +100,11 @@ struct Response {
   Status status = Status::kOk;
   std::string reason;      // empty when kOk
   std::uint64_t key = 0;   // cache key served (0 when rejected)
-  bool cache_hit = false;  // served from cache / batch memoization
+  bool cache_hit = false;  // cache, or another lane's compute it parked on
   std::string result;      // canonical JSON payload (empty unless kOk)
 
   // Timing (never part of the canonical payload; excluded from replay).
-  std::uint64_t queue_ns = 0;    // submit -> batch dispatch
+  std::uint64_t queue_ns = 0;    // submit -> a serving lane popped it
   std::uint64_t compute_ns = 0;  // solver execution (0 on a cache hit)
   std::uint64_t total_ns = 0;    // submit -> response ready
 
@@ -117,8 +121,8 @@ class MutationSessionStore;
 /// JSON payload.  Throws (ContractViolation) on malformed requests — the
 /// engine converts that into Status::kError.  This is the single point
 /// where requests meet the library's solvers; the engine adds queueing,
-/// batching and caching around it.  When `graph_cache` is non-null, the
-/// MIS-family kinds share built conflict graphs through it; when
+/// serving lanes and caching around it.  When `graph_cache` is non-null,
+/// the MIS-family kinds share built conflict graphs through it; when
 /// `sessions` is non-null, mutate_hypergraph requests resume from stored
 /// epoch prefixes through it.  Both are pure accelerations: the payload
 /// is identical with or without them.

@@ -9,17 +9,15 @@ namespace pslocal::service::stages {
 
 namespace {
 
-constexpr std::size_t kKindCount = 6;  // RequestKind enumerators
-
-// All 7x6 per-kind stage histograms, registered once on first use.
+// Every per-kind stage histogram, registered once on first use.
 // Registration copies the name, so building it from temporaries is
 // fine; the handles themselves are just small ids.
 const obs::Histogram& stage_histogram(Stage stage, RequestKind kind) {
   static const std::vector<obs::Histogram>* table = [] {
     auto* t = new std::vector<obs::Histogram>;
-    t->reserve(kStageCount * kKindCount);
+    t->reserve(kStageCount * kRequestKindCount);
     for (std::size_t s = 0; s < kStageCount; ++s) {
-      for (std::size_t k = 0; k < kKindCount; ++k) {
+      for (std::size_t k = 0; k < kRequestKindCount; ++k) {
         const std::string name =
             std::string("service.stage.") + stage_name(static_cast<Stage>(s)) +
             "." + kind_name(static_cast<RequestKind>(k));
@@ -28,7 +26,7 @@ const obs::Histogram& stage_histogram(Stage stage, RequestKind kind) {
     }
     return t;
   }();
-  return (*table)[static_cast<std::size_t>(stage) * kKindCount +
+  return (*table)[static_cast<std::size_t>(stage) * kRequestKindCount +
                   static_cast<std::size_t>(kind)];
 }
 

@@ -33,7 +33,8 @@ enum class Stage : std::uint8_t {
   kRtt,
 };
 
-inline constexpr std::size_t kStageCount = 7;
+inline constexpr std::size_t kStageCount =
+    static_cast<std::size_t>(Stage::kRtt) + 1;
 
 /// Metric-name fragment ("admission_wait_ns", "queue_depth", ...).
 [[nodiscard]] const char* stage_name(Stage stage);

@@ -13,7 +13,7 @@
 //       { "caption": "...", "columns": [...], "rows": [[...], ...] }
 //     ],
 //     "obs": {                       // obs snapshot taken at write time
-//       "counters": { "runtime.steals": 12, ... },
+//       "counters": { "runtime.chunks": 12, ... },
 //       "gauges": { ... },
 //       "histograms": { "slocal.locality": { "count": ..., "sum": ...,
 //         "min": ..., "max": ..., "buckets": [[le, count], ...] } }

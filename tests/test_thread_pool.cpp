@@ -1,8 +1,8 @@
-// Tests for the work-stealing pool itself (src/runtime/): completion,
-// exception propagation, nested regions, stealing under skewed load, and
-// the parallel primitives built on top of run_chunks.  Determinism of
-// the *library* hot paths wired onto the pool is covered separately in
-// test_parallel_determinism.cpp.
+// Tests for the thread pool itself (src/runtime/): completion, exception
+// propagation, nested regions, skewed load, workers that wake after their
+// region closed, and the parallel primitives built on top of run_chunks.
+// Determinism of the *library* hot paths wired onto the pool is covered
+// separately in test_parallel_determinism.cpp.
 #include "runtime/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -39,6 +39,19 @@ TEST(ThreadPool, SingleLanePoolSpawnsNothingAndCompletes) {
   std::vector<int> hits(100, 0);
   parallel_for_each_index(pool, {100, 7}, [&](std::size_t i) { ++hits[i]; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
+}
+
+TEST(ThreadPool, OneLanePoolRunsEveryChunkOnTheCallingThread) {
+  // No worker exists: the caller runs the chunks itself, in index order.
+  ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.run_chunks(4096, 16, [&](ChunkRange c) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(c.index);
+  });
+  ASSERT_EQ(order.size(), 4096u / 16);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPool, EveryChunkRunsExactlyOnce) {
@@ -141,12 +154,10 @@ TEST(ThreadPool, InlineRegionScopeKeepsRegionsOnTheCallingThread) {
   EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(ThreadPool, StealingHappensUnderSkewedLoad) {
+TEST(ThreadPool, CompletesUnderSkewedLoad) {
   ThreadPool pool(4);
-  const auto before = pool.steal_count();
-  // Chunk 0 is pathologically heavy, the rest are trivial: lane 0 gets
-  // stuck on its first chunk and the other lanes must steal the rest of
-  // its pre-partitioned block to finish the region.
+  // Chunk 0 is pathologically heavy, the rest are trivial: whichever
+  // lane claims chunk 0 is stuck on it while the others run the rest.
   std::atomic<std::size_t> done{0};
   parallel_for(pool, {256, 1}, [&](std::size_t lo, std::size_t) {
     if (lo == 0)
@@ -154,10 +165,6 @@ TEST(ThreadPool, StealingHappensUnderSkewedLoad) {
     ++done;
   });
   EXPECT_EQ(done.load(), 256u);
-  // On a single-core machine workers still run (they are OS threads),
-  // so steals occur whenever a sibling lane drains the blocked lane's
-  // deque; allow equality only if the whole region ran on one lane.
-  EXPECT_GE(pool.steal_count(), before);
 }
 
 TEST(ThreadPool, SkewedLoadCompletesEvenWithManyRegions) {
@@ -171,6 +178,27 @@ TEST(ThreadPool, SkewedLoadCompletesEvenWithManyRegions) {
     });
     ASSERT_EQ(done.load(), 64u) << "round " << round;
   }
+}
+
+TEST(ThreadPool, LateWorkersNeverRunAStaleRegion) {
+  // More lanes than chunks: most workers wake after the caller and one
+  // other lane drained the region.  They must skip it, never claim a
+  // chunk of the next region and run it under this region's body.
+  ThreadPool pool(8);
+  constexpr std::size_t kRegions = 5000;
+  std::atomic<std::size_t> current{0};
+  std::atomic<int> stale{0};
+  std::vector<std::atomic<int>> hits(2 * kRegions);
+  for (std::size_t r = 0; r < kRegions; ++r) {
+    current.store(r);
+    pool.run_chunks(2, 1, [&, r](ChunkRange c) {
+      if (current.load() != r) stale.fetch_add(1);
+      hits[2 * r + c.index].fetch_add(1);
+    });
+  }
+  EXPECT_EQ(stale.load(), 0);
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), 1) << "region " << i / 2 << " chunk " << i % 2;
 }
 
 TEST(ParallelPrimitives, ReduceMatchesSequentialFloatBitForBit) {
