@@ -4,7 +4,8 @@
 // For each thread count in {1, 2, 4, 8} the bench runs
 //   (a) conflict-graph construction (rows written in parallel by edge),
 //   (b) Luby MIS on G_k (parallel round evaluation),
-//   (c) min-degree greedy MaxIS on G_k (parallel argmin scoring),
+//   (c) min-degree greedy MaxIS on G_k (a sequential scan on every pool,
+//       so its column is the one-lane baseline),
 // on one planted instance and CHECKs that every output is byte-identical
 // to the single-threaded run — the runtime/scheduler.hpp contract, which
 // holds on any machine.  Speedups are reported, not asserted: they only

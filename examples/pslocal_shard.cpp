@@ -21,7 +21,7 @@
 //
 // With --trace-out=<path> the whole run is recorded as one Chrome
 // trace (docs/tracing.md): the driving client thread, each shard's io
-// loops / completer / serving lanes appear as named "shard<i>.*" tracks,
+// loops and serving lanes appear as named "shard<i>.*" tracks,
 // and every request's spans (shard.call -> shard.attempt ->
 // net.dispatch -> service.solve -> net.serialize) carry its trace_id.
 //

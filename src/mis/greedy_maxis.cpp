@@ -6,7 +6,6 @@
 
 #include "graph/algorithms.hpp"
 #include "mis/independent_set.hpp"
-#include "runtime/parallel.hpp"
 #include "util/check.hpp"
 
 namespace pslocal {
@@ -27,44 +26,34 @@ std::vector<VertexId> greedy_mis_in_order(const Graph& g,
 }
 
 std::vector<VertexId> greedy_min_degree_maxis(const Graph& g,
-                                              runtime::Scheduler& sched) {
+                                              runtime::Scheduler&) {
   const std::size_t n = g.vertex_count();
   std::vector<std::size_t> deg(n);
-  // std::uint8_t, not vector<bool>: the argmin chunks read disjoint
-  // ranges concurrently and must not share bytes with writers elsewhere.
+  // A byte per vertex, not vector<bool>: the argmin scan below reads
+  // every entry once per pick.
   std::vector<std::uint8_t> alive(n, 1);
   for (VertexId v = 0; v < n; ++v) deg[v] = g.degree(v);
   std::size_t alive_count = n;
 
-  // (degree, id) candidate; the strict < on this pair reproduces the
-  // sequential first-strictly-smaller scan: lowest id among min degree.
-  struct Cand {
-    std::size_t deg = std::numeric_limits<std::size_t>::max();
-    VertexId v = 0;
-    [[nodiscard]] bool beats(const Cand& o) const {
-      return deg < o.deg || (deg == o.deg && v < o.v);
-    }
-  };
-
   std::vector<VertexId> out;
   while (alive_count > 0) {
-    // Parallel argmin over the alive vertices: |I|·n reads in all.  On
+    // Argmin over the alive vertices, first strictly smaller wins: the
+    // lowest id among minimum degree.  |I|·n reads in all; on
     // planted-instance conflict graphs that is about the 2|E| reads of
     // the degree updates below, so a bucket queue (as in
     // degeneracy_order) pays only when |I|·n ≫ |E|.
-    const Cand best = runtime::parallel_reduce<Cand>(
-        sched, {n, 0}, Cand{},
-        [&](std::size_t lo, std::size_t hi, std::size_t) {
-          Cand c;
-          for (VertexId v = lo; v < hi; ++v)
-            if (alive[v] && deg[v] < c.deg) c = Cand{deg[v], v};
-          return c;
-        },
-        [](Cand a, Cand b) { return b.beats(a) ? b : a; });
-    out.push_back(best.v);
+    VertexId best = 0;
+    std::size_t best_deg = std::numeric_limits<std::size_t>::max();
+    for (VertexId v = 0; v < n; ++v) {
+      if (alive[v] && deg[v] < best_deg) {
+        best = v;
+        best_deg = deg[v];
+      }
+    }
+    out.push_back(best);
     // Delete N[best]; update degrees of the 2-hop fringe.
-    std::vector<VertexId> removed{best.v};
-    for (VertexId w : g.neighbors(best.v))
+    std::vector<VertexId> removed{best};
+    for (VertexId w : g.neighbors(best))
       if (alive[w]) removed.push_back(w);
     for (VertexId r : removed) {
       alive[r] = 0;

@@ -28,11 +28,12 @@ namespace pslocal {
 std::vector<VertexId> greedy_mis_in_order(const Graph& g,
                                           const std::vector<VertexId>& order);
 
-/// Min-degree greedy (see header comment).  The per-pick argmin scan
-/// fans out on `sched` with a (degree, id) tie-break that reproduces the
-/// sequential scan's pick exactly, so the output is identical at every
-/// thread count.  The scans read |I|·n degrees in all; on planted-instance
-/// conflict graphs that is the same order as the 2|E| degree updates.
+/// Min-degree greedy (see header comment).  Each pick is the lowest id
+/// among the remaining vertices of minimum degree, found by a plain
+/// sequential scan, so the output is the same on every scheduler.  The
+/// scheduler parameter is unused; it stays so existing callers compile.
+/// The scans read |I|·n degrees in all; on planted-instance conflict
+/// graphs that is the same order as the 2|E| degree updates.
 std::vector<VertexId> greedy_min_degree_maxis(
     const Graph& g,
     runtime::Scheduler& sched = runtime::global_scheduler());

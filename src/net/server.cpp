@@ -10,10 +10,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -94,55 +92,65 @@ struct Server::Impl {
   struct OutFrame {
     std::uint64_t conn_gen = 0;
     QueuedWrite write;
+    bool shed_nack = false;  // a deadline shed; counted when drained
   };
 
-  /// One epoll event loop: private acceptor (SO_REUSEPORT sibling of the
-  /// others), wake pipe, and an exclusive connection set.  Only `outbox`
-  /// is touched by another thread (the completer), under `outbox_mu`.
-  struct Loop {
-    std::size_t index = 0;
-    int epoll_fd = -1;
-    int listen_fd = -1;
-    int wake_rd = -1, wake_wr = -1;
-    std::thread thread;
-    std::unordered_map<int, Connection> conns;           // fd -> state
-    std::unordered_map<std::uint64_t, int> gen_to_fd;    // gen -> fd
-    std::mutex outbox_mu;
-    std::vector<OutFrame> outbox;
-
-    // Live gauges readable from ANY loop (the stats request is answered
-    // on whichever loop read it, and sibling connection maps are
-    // thread-private — these atomics are the cross-loop view).
-    std::atomic<std::size_t> conn_gauge{0};
-    std::atomic<std::size_t> queued_bytes_gauge{0};
+  /// The frames serving lanes post to one io loop, and the write end of
+  /// its wake pipe.  The engine outlives the server and may answer after
+  /// stop(), so each completion shares ownership of this and touches
+  /// nothing else of the server: stop() closes it (and the pipe) under
+  /// `mu`, and later posts are dropped.
+  struct Outbox {
+    std::mutex mu;
+    std::vector<OutFrame> frames;  // guarded by mu
+    bool closed = false;           // guarded by mu
+    int wake_wr = -1;
 
     void wake() const {
       const char b = 'x';
       // The pipe being full already guarantees a pending wakeup.
       [[maybe_unused]] const ssize_t n = ::write(wake_wr, &b, 1);
     }
+    void post(OutFrame frame) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (closed) return;
+      // A non-empty outbox has its wakeup pending already.
+      if (frames.empty()) wake();
+      frames.push_back(std::move(frame));
+    }
+    void close() {
+      std::lock_guard<std::mutex> lock(mu);
+      closed = true;
+      frames.clear();
+      if (wake_wr >= 0) ::close(wake_wr);
+      wake_wr = -1;
+    }
+  };
+
+  /// One epoll event loop: private acceptor (SO_REUSEPORT sibling of the
+  /// others), wake pipe, and an exclusive connection set.  Only `outbox`
+  /// is touched by other threads (the serving lanes).
+  struct Loop {
+    std::size_t index = 0;
+    int epoll_fd = -1;
+    int listen_fd = -1;
+    int wake_rd = -1;
+    std::thread thread;
+    std::unordered_map<int, Connection> conns;           // fd -> state
+    std::unordered_map<std::uint64_t, int> gen_to_fd;    // gen -> fd
+    const std::shared_ptr<Outbox> outbox = std::make_shared<Outbox>();
+
+    // Live gauges readable from ANY loop (the stats request is answered
+    // on whichever loop read it, and sibling connection maps are
+    // thread-private — these atomics are the cross-loop view).
+    std::atomic<std::size_t> conn_gauge{0};
+    std::atomic<std::size_t> queued_bytes_gauge{0};
   };
   std::vector<std::unique_ptr<Loop>> loops;
   std::atomic<std::uint64_t> next_gen{1};
   std::atomic<std::size_t> conn_count{0};  // across all loops
 
-  // Admitted requests waiting for their engine future, FIFO.
-  struct Completion {
-    std::size_t loop_index = 0;
-    std::uint64_t conn_gen = 0;
-    std::uint64_t request_id = 0;
-    std::uint8_t kind = 0;  // RequestKind, for per-kind stage metrics
-    std::uint64_t trace_id = 0;        // echoed into the response header
-    std::uint64_t parent_span_id = 0;
-    std::future<service::Response> future;
-  };
-  std::mutex completions_mu;
-  std::condition_variable completions_cv;
-  std::deque<Completion> completions;
-  bool stopping = false;  // guarded by completions_mu
-  std::thread completer_thread;
-
-  // Tallies (relaxed atomics; written by the io/completer threads).
+  // Tallies (relaxed atomics; written by the io loops).
   std::atomic<std::uint64_t> accepted{0}, closed{0};
   std::atomic<std::uint64_t> frames_rx{0}, frames_tx{0};
   std::atomic<std::uint64_t> bytes_rx{0}, bytes_tx{0};
@@ -290,18 +298,11 @@ struct Server::Impl {
     request.parent_span_id = frame.parent_span_id;
     request.tenant = frame.tenant;
     const auto kind = request.kind;
-    auto submitted = engine.submit(std::move(request));
-    switch (submitted.admission) {
+    const service::AdmissionVerdict verdict = engine.submit(
+        std::move(request), answer_to(loop.outbox, conn.gen, frame, kind));
+    switch (verdict.admission) {
       case service::Admission::kAccepted: {
         requests_dispatched.fetch_add(1, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> lock(completions_mu);
-          completions.push_back({loop.index, conn.gen, frame.request_id,
-                                 static_cast<std::uint8_t>(kind),
-                                 frame.trace_id, frame.parent_span_id,
-                                 std::move(submitted.response)});
-        }
-        completions_cv.notify_one();
         break;
       }
       case service::Admission::kQueueFull: {
@@ -320,7 +321,7 @@ struct Server::Impl {
         g_nack_shed.add();
         enqueue_frame(loop, conn,
                       nack_write(frame, wire::NackCode::kShedRetryAfter,
-                                 submitted.retry_after_us));
+                                 verdict.retry_after_us));
         break;
       }
     }
@@ -342,16 +343,64 @@ struct Server::Impl {
                        0};
   }
 
+  /// The completion of one admitted request.  It runs on the thread that
+  /// answers (a serving lane, or the one in engine.stop()), encodes the
+  /// response there under the request's trace context, and posts the
+  /// frame to the owning loop's outbox.
+  static service::Completion answer_to(std::shared_ptr<Outbox> outbox,
+                                       std::uint64_t conn_gen,
+                                       const wire::Frame& frame,
+                                       service::RequestKind kind) {
+    wire::Frame header;
+    header.request_id = frame.request_id;
+    header.trace_id = frame.trace_id;
+    header.parent_span_id = frame.parent_span_id;
+    return [outbox = std::move(outbox), conn_gen, header,
+            kind](const service::Response& response) {
+      obs::ScopedTraceContext trace_ctx(header.trace_id,
+                                        header.parent_span_id);
+      const std::uint64_t serialize_start = now_ns();
+      // A deadline shed surfaces as a kRejected("shed") response from a
+      // serving lane; on the wire it is a typed NACK with the backoff
+      // hint, same contract as an admission-time shed.
+      const bool shed =
+          response.status == service::Response::Status::kRejected &&
+          response.reason == "shed";
+      std::string bytes;
+      {
+        PSL_OBS_SPAN("net.serialize");
+        wire::Frame reply = header;
+        reply.kind = shed ? wire::FrameKind::kNack : wire::FrameKind::kResponse;
+        reply.payload =
+            shed ? wire::encode_nack(wire::NackCode::kShedRetryAfter,
+                                     response.retry_after_us)
+                 : wire::encode_response(response);
+        bytes = wire::encode_frame(reply);
+      }
+      service::stages::record(service::stages::Stage::kSerialize, kind,
+                              now_ns() - serialize_start, header.trace_id);
+      outbox->post({conn_gen,
+                    QueuedWrite{std::move(bytes),
+                                static_cast<std::uint8_t>(kind),
+                                header.trace_id, now_ns()},
+                    shed});
+    };
+  }
+
   /// Move completed response frames from the loop's outbox into their
   /// connections' write queues (dropping frames whose connection died),
   /// then flush.
   void drain_outbox(Loop& loop) {
     std::vector<OutFrame> batch;
     {
-      std::lock_guard<std::mutex> lock(loop.outbox_mu);
-      batch.swap(loop.outbox);
+      std::lock_guard<std::mutex> lock(loop.outbox->mu);
+      batch.swap(loop.outbox->frames);
     }
     for (OutFrame& out : batch) {
+      if (out.shed_nack) {
+        nacks_shed.fetch_add(1, std::memory_order_relaxed);
+        g_nack_shed.add();
+      }
       const auto it = loop.gen_to_fd.find(out.conn_gen);
       if (it == loop.gen_to_fd.end()) continue;
       Connection& conn = loop.conns.at(it->second);
@@ -471,7 +520,6 @@ struct Server::Impl {
         PSL_CHECK_MSG(false,
                       "net: epoll_wait failed: " << std::strerror(errno));
       }
-      bool woken = false;
       for (int i = 0; i < ready; ++i) {
         const int fd = events[static_cast<std::size_t>(i)].data.fd;
         const std::uint32_t ev = events[static_cast<std::size_t>(i)].events;
@@ -487,7 +535,6 @@ struct Server::Impl {
             if (n < 0 && errno == EINTR) continue;
             break;  // EAGAIN (drained) or EOF
           }
-          woken = true;
           continue;
         }
         auto it = loop.conns.find(fd);
@@ -507,70 +554,10 @@ struct Server::Impl {
           update_write_interest(loop, conn);
         }
       }
-      // Wake or not — completions may have landed while we handled io.
-      (void)woken;
+      // Woken or not: lanes may have posted while we handled io.
       drain_outbox(loop);
     }
     while (!loop.conns.empty()) close_conn(loop, loop.conns.begin()->first);
-  }
-
-  void completer_main(const std::atomic<bool>& stop_flag) {
-    obs::set_thread_label(config.name + ".completer");
-    for (;;) {
-      Completion job;
-      {
-        std::unique_lock<std::mutex> lock(completions_mu);
-        completions_cv.wait(
-            lock, [this] { return stopping || !completions.empty(); });
-        if (stopping) return;  // pending futures are discarded; the
-                               // engine still answers them (to nobody)
-        job = std::move(completions.front());
-        completions.pop_front();
-      }
-      // Blocking is fine here: the engine answers every admitted
-      // request exactly once (serve, error, or shutdown-reject).
-      service::Response response = job.future.get();
-      response.id = job.request_id;
-      // Serialize stage: encode under the request's trace context so
-      // the span lands on the completer track of the right trace.
-      obs::ScopedTraceContext trace_ctx(job.trace_id, job.parent_span_id);
-      const std::uint64_t serialize_start = now_ns();
-      std::string bytes;
-      {
-        PSL_OBS_SPAN("net.serialize");
-        wire::Frame reply;
-        // A deadline shed surfaces as a kRejected("shed") response from
-        // a serving lane; on the wire it is a typed NACK with the
-        // backoff hint, same contract as an admission-time shed.
-        if (response.status == service::Response::Status::kRejected &&
-            response.reason == "shed") {
-          nacks_shed.fetch_add(1, std::memory_order_relaxed);
-          g_nack_shed.add();
-          reply.kind = wire::FrameKind::kNack;
-          reply.payload = wire::encode_nack(wire::NackCode::kShedRetryAfter,
-                                            response.retry_after_us);
-        } else {
-          reply.kind = wire::FrameKind::kResponse;
-          reply.payload = wire::encode_response(response);
-        }
-        reply.request_id = job.request_id;
-        reply.trace_id = job.trace_id;
-        reply.parent_span_id = job.parent_span_id;
-        bytes = wire::encode_frame(reply);
-      }
-      service::stages::record(service::stages::Stage::kSerialize,
-                              static_cast<service::RequestKind>(job.kind),
-                              now_ns() - serialize_start, job.trace_id);
-      if (stop_flag.load(std::memory_order_acquire)) continue;
-      Loop& loop = *loops[job.loop_index];
-      {
-        std::lock_guard<std::mutex> lock(loop.outbox_mu);
-        loop.outbox.push_back(
-            {job.conn_gen,
-             QueuedWrite{std::move(bytes), job.kind, job.trace_id, now_ns()}});
-      }
-      loop.wake();
-    }
   }
 };
 
@@ -602,9 +589,9 @@ void Server::start() {
     PSL_CHECK_MSG(::pipe(pipe_fds) == 0,
                   "net: pipe failed: " << std::strerror(errno));
     loop->wake_rd = pipe_fds[0];
-    loop->wake_wr = pipe_fds[1];
-    set_nonblocking(loop->wake_rd);
-    set_nonblocking(loop->wake_wr);
+    loop->outbox->wake_wr = pipe_fds[1];
+    set_nonblocking(pipe_fds[0]);
+    set_nonblocking(pipe_fds[1]);
 
     // Every loop binds its own SO_REUSEPORT listener to the same
     // address; the kernel spreads incoming connections across them.
@@ -659,29 +646,21 @@ void Server::start() {
     Impl::Loop* lp = loop.get();
     lp->thread = std::thread([this, lp] { impl_->loop_main(*lp, stopped_); });
   }
-  im.completer_thread =
-      std::thread([this] { impl_->completer_main(stopped_); });
 }
 
 void Server::stop() {
   if (!started_.load() || stopped_.exchange(true)) return;
   Impl& im = *impl_;
-  {
-    std::lock_guard<std::mutex> lock(im.completions_mu);
-    im.stopping = true;
-  }
-  im.completions_cv.notify_all();
-  for (auto& loop : im.loops) loop->wake();
+  for (auto& loop : im.loops) loop->outbox->wake();
   for (auto& loop : im.loops) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  if (im.completer_thread.joinable()) im.completer_thread.join();
   for (auto& loop : im.loops) {
+    loop->outbox->close();
     if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
     if (loop->listen_fd >= 0) ::close(loop->listen_fd);
     if (loop->wake_rd >= 0) ::close(loop->wake_rd);
-    if (loop->wake_wr >= 0) ::close(loop->wake_wr);
-    loop->epoll_fd = loop->listen_fd = loop->wake_rd = loop->wake_wr = -1;
+    loop->epoll_fd = loop->listen_fd = loop->wake_rd = -1;
   }
 }
 

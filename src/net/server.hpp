@@ -1,6 +1,7 @@
 // Non-blocking TCP front end of the ServiceEngine (src/net/).
 //
-// Threading model — one epoll event loop per core, none per connection:
+// Threading model — one epoll event loop per core, none per connection,
+// and no thread of its own between the engine and the loops:
 //
 //   io loops (N)       Each loop owns a private epoll instance, its own
 //                      SO_REUSEPORT listen socket bound to the shared
@@ -18,14 +19,14 @@
 //                      retry.  Connections never migrate between loops,
 //                      so no connection state is ever shared or locked.
 //
-//   completer thread   Blocks on the engine futures of admitted
-//                      requests in admission order, encodes each
-//                      Response and hands it to the owning loop through
-//                      that loop's wake pipe.  The engine's lanes answer
-//                      out of order (a hit at once, a miss when its
-//                      compute ends), so a ready response can wait here
-//                      behind a slower one admitted earlier, from any
-//                      connection.
+//   serving lanes      Each admitted request carries a completion.  The
+//                      engine lane that answers it encodes the Response
+//                      there and posts the frame to the owning loop's
+//                      outbox, waking that loop.  So a connection's
+//                      responses leave in completion order (a hit at
+//                      once, a miss when its compute ends), never held
+//                      behind a slower one admitted earlier; clients
+//                      match them to requests by request id.
 //
 // config.io_threads picks the loop count (0 = one per core, capped at
 // 8).  With one loop this is exactly the previous single-poll-loop
@@ -52,8 +53,8 @@
 // so scraping a busy shard never pauses it.
 //
 // Every connection is independent: one client sending garbage or
-// stalling cannot delay decode or dispatch for the others (solver-side
-// ordering is the engine's FIFO, as for in-process callers).
+// stalling cannot delay decode, dispatch or answers for the others
+// (solver-side ordering is the engine's FIFO, as for in-process callers).
 #pragma once
 
 #include <atomic>
@@ -93,14 +94,14 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen and launch the io loops + completer thread.  Throws
-  /// ContractViolation on bind/listen failure.  Idempotent.
+  /// Bind, listen and launch the io loops.  Throws ContractViolation on
+  /// bind/listen failure.  Idempotent.
   void start();
 
-  /// Stop accepting, close every connection, join all threads.
-  /// In-flight engine futures are still drained (the engine answers
-  /// every admitted request; their bytes go nowhere once the
-  /// connections are gone).  Idempotent; also called by the destructor.
+  /// Stop accepting, close every connection, join the io loops.  The
+  /// engine still answers every admitted request; an answer that comes
+  /// after stop() is dropped, since its connection is gone.
+  /// Idempotent; also called by the destructor.
   void stop();
 
   /// The bound TCP port (valid after start(); resolves port 0).

@@ -65,7 +65,7 @@ class FairQueue final : public service::AdmissionQueue {
   struct Lane {
     explicit Lane(TokenBucket b) : bucket(b) {}
     // Explicitly noexcept so vector growth moves lanes instead of
-    // falling back to the (deleted — Pending holds a promise) copy.
+    // copying them (std::deque's own move constructor may throw).
     Lane(Lane&& other) noexcept = default;
     Lane& operator=(Lane&& other) noexcept = default;
 

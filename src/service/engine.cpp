@@ -20,9 +20,6 @@ const obs::Counter g_served("service.responses.served");
 const obs::Counter g_served_cached("service.responses.cached");
 const obs::Counter g_errors("service.responses.errors");
 const obs::Counter g_batches("service.batches");
-const obs::Histogram g_latency_ns("service.latency_ns");
-const obs::Histogram g_queue_ns("service.queue_ns");
-const obs::Histogram g_compute_ns("service.compute_ns");
 }  // namespace
 
 ServiceEngine::ServiceEngine(EngineConfig config)
@@ -74,13 +71,28 @@ void ServiceEngine::stop(StopMode mode) {
   queue_->shutdown();
   for (std::thread& lane : lanes_) lane.join();
   // Anything still queued was never dispatched (engine not started, or
-  // raced the shutdown): answer it rather than abandoning the future.
+  // raced the shutdown): answer it rather than leaving it unanswered.
   std::vector<Pending> stragglers;
   queue_->drain(stragglers);
   reject_all(stragglers, "shutdown");
 }
 
 ServiceEngine::Submitted ServiceEngine::submit(Request request) {
+  // std::function needs a copyable target, so the promise is shared.
+  auto promise = std::make_shared<std::promise<Response>>();
+  const AdmissionVerdict verdict =
+      submit(std::move(request), [promise](Response resp) {
+        promise->set_value(std::move(resp));
+      });
+  Submitted out;
+  out.admission = verdict.admission;
+  out.retry_after_us = verdict.retry_after_us;
+  if (out.admission == Admission::kAccepted)
+    out.response = promise->get_future();
+  return out;
+}
+
+AdmissionVerdict ServiceEngine::submit(Request request, Completion complete) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   if (request.instance_hash == 0 && request.instance != nullptr)
     request.instance_hash = hash_hypergraph(*request.instance);
@@ -89,25 +101,21 @@ ServiceEngine::Submitted ServiceEngine::submit(Request request) {
   const std::uint64_t trace_id = request.trace_id;
   Pending pending;
   pending.request = std::move(request);
+  pending.complete = std::move(complete);
   pending.submit_ns = now_ns();
   const std::uint64_t submit_ns = pending.submit_ns;
-  std::future<Response> future = pending.promise.get_future();
 
-  Submitted out;
   const AdmissionVerdict verdict = queue_->admit(std::move(pending));
-  out.admission = verdict.admission;
-  out.retry_after_us = verdict.retry_after_us;
   // Admission wait is the time submit() spent getting a verdict from
   // the queue (lock contention under load); queue depth at entry is
   // how much work was already ahead of an accepted request.
   stages::record(stages::Stage::kAdmissionWait, kind, now_ns() - submit_ns,
                  trace_id);
-  switch (out.admission) {
+  switch (verdict.admission) {
     case Admission::kAccepted:
       accepted_.fetch_add(1, std::memory_order_relaxed);
       stages::record(stages::Stage::kQueueDepth, kind, queue_->depth(),
                      trace_id);
-      out.response = std::move(future);
       break;
     case Admission::kQueueFull:
       rejected_full_.fetch_add(1, std::memory_order_relaxed);
@@ -119,7 +127,7 @@ ServiceEngine::Submitted ServiceEngine::submit(Request request) {
       shed_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  return out;
+  return verdict;
 }
 
 struct ServiceEngine::Outcome {
@@ -139,6 +147,9 @@ void ServiceEngine::lane_main(std::size_t lane) {
     if (queue_->pop_batch(popped, 1) == 0) return;  // shutdown and empty
     Pending& pending = popped.front();
     pending.dispatch_ns = now_ns();
+    stages::record(stages::Stage::kDispatchWait, pending.request.kind,
+                   pending.dispatch_ns - pending.submit_ns,
+                   pending.request.trace_id);
     if (reject_drained_.load(std::memory_order_acquire)) {
       reject_all(popped, "shutdown");
       continue;
@@ -167,7 +178,7 @@ bool ServiceEngine::shed_if_expired(Pending& pending) {
   fair_queue_->record_deadline_shed(pending.tenant);
   shed_.fetch_add(1, std::memory_order_relaxed);
   shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-  pending.promise.set_value(std::move(resp));
+  pending.complete(std::move(resp));
   return true;
 }
 
@@ -249,19 +260,16 @@ void ServiceEngine::answer(Pending& pending, std::uint64_t key,
     if (!cache_hit) resp.compute_ns = outcome.compute_ns;
   }
   resp.total_ns = now_ns() - pending.submit_ns;
-  g_latency_ns.record(resp.total_ns);
   if (!tenant_latency_.empty())
     tenant_latency_[pending.tenant].record(resp.total_ns,
                                            pending.request.trace_id);
-  g_queue_ns.record(resp.queue_ns);
-  if (resp.compute_ns != 0) g_compute_ns.record(resp.compute_ns);
   served_.fetch_add(1, std::memory_order_relaxed);
   g_served.add();
   if (resp.cache_hit) {
     served_cached_.fetch_add(1, std::memory_order_relaxed);
     g_served_cached.add();
   }
-  pending.promise.set_value(std::move(resp));
+  pending.complete(std::move(resp));
 }
 
 void ServiceEngine::reject_all(std::vector<Pending>& pendings,
@@ -273,7 +281,7 @@ void ServiceEngine::reject_all(std::vector<Pending>& pendings,
     resp.reason = reason;
     resp.total_ns = now_ns() - pending.submit_ns;
     rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    pending.promise.set_value(std::move(resp));
+    pending.complete(std::move(resp));
   }
 }
 

@@ -24,6 +24,10 @@
 //    the canonical payload, kError if the solver threw, or kRejected
 //    (reason "shutdown") if the engine stopped first.  Every accepted
 //    request is answered exactly once; no future is ever abandoned.
+//    submit(request, complete) answers through a Completion instead: it
+//    runs once, on the serving lane that answers (or on the thread in
+//    stop()), so it must be quick and must not call back into the engine
+//    (net::Server encodes the frame there and posts it to an io loop).
 //
 //  * One compute per key: while a lane computes a key, requests for the
 //    same key park on that compute and are answered from it as hits.
@@ -119,6 +123,10 @@ class ServiceEngine {
   /// Non-blocking submission.  Fills request.instance_hash from the
   /// instance content when the caller left it 0.
   [[nodiscard]] Submitted submit(Request request);
+
+  /// As submit(request), but an accepted request is answered by calling
+  /// `complete` (see the header comment); a refused one never calls it.
+  [[nodiscard]] AdmissionVerdict submit(Request request, Completion complete);
 
   struct Stats {
     std::uint64_t submitted = 0;

@@ -17,7 +17,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -43,10 +43,15 @@ struct AdmissionVerdict {
   std::uint64_t retry_after_us = 0;
 };
 
+/// Receives an admitted request's answer.  The engine calls it exactly
+/// once, on the thread that answers: a serving lane, or the thread
+/// running ServiceEngine::stop().
+using Completion = std::function<void(Response)>;
+
 /// One admitted request travelling through the engine.
 struct Pending {
   Request request;
-  std::promise<Response> promise;
+  Completion complete;
   std::uint64_t submit_ns = 0;    // now_ns() at admission
   std::uint64_t dispatch_ns = 0;  // now_ns() when a serving lane popped it
   std::size_t tenant = 0;         // registry index (0 = default tenant)

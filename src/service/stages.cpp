@@ -36,6 +36,7 @@ const char* stage_name(Stage stage) {
   switch (stage) {
     case Stage::kAdmissionWait: return "admission_wait_ns";
     case Stage::kQueueDepth: return "queue_depth";
+    case Stage::kDispatchWait: return "dispatch_wait_ns";
     case Stage::kCacheProbe: return "cache_probe_ns";
     case Stage::kSolve: return "solve_ns";
     case Stage::kSerialize: return "serialize_ns";

@@ -7,10 +7,13 @@
 //
 //   admission_wait_ns  inside ServiceEngine::submit (lock + queue push)
 //   queue_depth        queue depth observed at admission (a count)
+//   dispatch_wait_ns   submit() entry -> a serving lane popped the
+//                      request (admission_wait_ns included)
 //   cache_probe_ns     SolverCache lookup on a serving lane (one per key
 //                      claim; parked same-key requests do not probe)
 //   solve_ns           solver execution (cache misses only)
-//   serialize_ns       response payload + frame encode (net completer)
+//   serialize_ns       response payload + frame encode (net::Server, on
+//                      the serving lane that answered)
 //   wire_write_ns      response enqueue -> last byte handed to the socket
 //   rtt_ns             client send -> response decoded (per attempt winner)
 //
@@ -26,6 +29,7 @@ namespace pslocal::service::stages {
 enum class Stage : std::uint8_t {
   kAdmissionWait,
   kQueueDepth,
+  kDispatchWait,
   kCacheProbe,
   kSolve,
   kSerialize,

@@ -1,7 +1,8 @@
 // net/server: end-to-end serving over real loopback sockets — payload
 // parity with in-process execution over one and over several concurrent
 // connections, cache visibility, the typed-NACK backpressure contract,
-// and per-connection fault isolation.
+// per-connection fault isolation, answers leaving in completion order,
+// and answers that arrive after the server is gone.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -12,11 +13,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "gate_scheduler.hpp"
 #include "net/client.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
@@ -166,6 +169,73 @@ TEST(NetServerTest, QueueFullBecomesTypedNackNotSilence) {
   const Client::Result drained = client.wait(parked_id);
   ASSERT_EQ(drained.outcome, Client::Outcome::kRejected) << drained.error;
   EXPECT_EQ(drained.response.reason, "shutdown");
+}
+
+TEST(NetServerTest, ReadyResponseIsNotHeldBehindASlowerOne) {
+  // Two lanes, two connections.  A's miss is held mid-compute at the
+  // closed gate; B's hit, admitted after it, must come back while the
+  // gate is still closed: each answer leaves from the lane that made
+  // it, so no slower answer admitted earlier, on any connection, holds
+  // it up.
+  const service::Trace trace = small_trace();
+  service::Request hot = trace.requests[0];
+  hot.kind = service::RequestKind::kBuildConflictGraph;
+  hot.k = 2;
+  service::Request slow = trace.requests[1];
+  slow.kind = service::RequestKind::kBuildConflictGraph;
+  slow.k = 3;
+  runtime::GateScheduler gate(2);
+  service::EngineConfig cfg;
+  cfg.scheduler = &gate;
+  service::ServiceEngine engine(cfg);
+  engine.start();
+  Server server(engine, {});
+  server.start();
+  Client a = make_client(server);
+  a.connect();
+  Client b = make_client(server);
+  b.connect();
+  ASSERT_EQ(b.call(hot).outcome, Client::Outcome::kOk);  // warm the hit
+
+  gate.close();
+  const std::uint64_t slow_id = a.send(slow);
+  const bool computing = gate.wait_held(1);
+  const Client::Result hit = b.call(hot, /*timeout_ms=*/5000);
+  const std::size_t held_after_hit = gate.held();
+  gate.open();
+
+  EXPECT_TRUE(computing);
+  ASSERT_EQ(hit.outcome, Client::Outcome::kOk)
+      << Client::outcome_name(hit.outcome);
+  EXPECT_TRUE(hit.response.cache_hit);
+  EXPECT_EQ(held_after_hit, 1u);
+  const Client::Result miss = a.wait(slow_id);
+  ASSERT_EQ(miss.outcome, Client::Outcome::kOk) << miss.error;
+  EXPECT_FALSE(miss.response.cache_hit);
+}
+
+TEST(NetServerTest, AnswerAfterTheServerIsGoneIsDropped) {
+  // The engine outlives the server.  A request admitted through a
+  // server that is destroyed before the engine answers it is answered
+  // into the void: its completion touches only the loop outbox it
+  // shares, never the freed server (ASan checks this).
+  const service::Trace trace = small_trace();
+  service::ServiceEngine engine;  // never started: the request waits
+  {
+    Server server(engine, {});
+    server.start();
+    Client client = make_client(server);
+    client.connect();
+    client.send(trace.requests[0]);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (server.stats().requests_dispatched == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(server.stats().requests_dispatched, 1u);
+  }
+  engine.stop();  // answers the queued request with kRejected("shutdown")
+  EXPECT_EQ(engine.stats().rejected_shutdown, 1u);
 }
 
 TEST(NetServerTest, GarbageStreamClosesOnlyThatConnection) {

@@ -458,5 +458,46 @@ TEST(QosNetTest, ShedBecomesTypedNackWithBackoffHint) {
   engine.stop();
 }
 
+TEST(QosNetTest, DeadlineShedBecomesTypedNackWithBackoffHint) {
+  // A request whose deadline class expires while it is queued is shed
+  // by the serving lane that pops it; the server sends that answer as
+  // NACK(kShedRetryAfter), like an admission-time shed, and tallies it.
+  const service::Trace trace = qos_trace();
+  service::EngineConfig cfg;
+  cfg.qos.enabled = true;
+  qos::TenantConfig t;
+  t.name = "slo";
+  t.deadline_ms = 1;
+  cfg.qos.tenants = {t};
+  service::ServiceEngine engine(cfg);  // not started: the request waits
+  net::Server server(engine, {});
+  server.start();
+  net::Client::Config cc;
+  cc.port = server.port();
+  net::Client client(cc);
+  client.connect();
+
+  service::Request req = trace.requests[0];
+  req.tenant = "slo";
+  const std::uint64_t id = client.send(req);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().requests_dispatched == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  engine.start();
+
+  const net::Client::Result shed = client.wait(id);
+  ASSERT_EQ(shed.outcome, net::Client::Outcome::kNack) << shed.error;
+  EXPECT_EQ(shed.nack_code, net::wire::NackCode::kShedRetryAfter);
+  EXPECT_EQ(shed.retry_after_us, 1000u);  // deadline_ms as the hint
+
+  server.stop();
+  EXPECT_EQ(server.stats().nacks_shed, 1u);
+  EXPECT_EQ(engine.stats().shed_deadline, 1u);
+  engine.stop();
+}
+
 }  // namespace
 }  // namespace pslocal

@@ -9,11 +9,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "gate_scheduler.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/workload.hpp"
 #include "util/hash.hpp"
@@ -55,60 +54,6 @@ EngineConfig on_scheduler(runtime::Scheduler& sched) {
   cfg.scheduler = &sched;
   return cfg;
 }
-
-/// Runs every region inline, like SequentialScheduler, but holds each
-/// region at a gate while closed: a miss that reaches its first parallel
-/// region stalls there until open(), so "a lane is computing" becomes a
-/// state a test can hold.  Reports `lanes` as its thread count, which is
-/// the number of serving lanes an engine on it runs.
-class GateScheduler final : public runtime::Scheduler {
- public:
-  explicit GateScheduler(std::size_t lanes) : lanes_(lanes) {}
-
-  [[nodiscard]] std::size_t thread_count() const override { return lanes_; }
-
-  void run_chunks(std::size_t n, std::size_t grain,
-                  const std::function<void(runtime::ChunkRange)>& body)
-      override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++held_;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return open_; });
-      --held_;
-    }
-    runtime::SequentialScheduler().run_chunks(n, grain, body);
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = false;
-  }
-  void open() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-  /// Wait (up to 30 s) until `n` regions are held at the closed gate.
-  bool wait_held(std::size_t n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, std::chrono::seconds(30),
-                        [&] { return held_ >= n; });
-  }
-  std::size_t held() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return held_;
-  }
-
- private:
-  const std::size_t lanes_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = true;
-  std::size_t held_ = 0;
-};
 
 /// Build-conflict-graph request on trace instance `i` at conflict
 /// parameter k (distinct k, distinct key and G_k).
@@ -508,7 +453,7 @@ TEST(ServiceEngineMultiLaneTest, SameKeyQueuedBeforeStartComputesOnce) {
   // answered from it as a hit.
   const Trace trace = generate_trace(small_trace_params());
   const Request req = build_request(trace, 0, 3);
-  GateScheduler gate(4);
+  runtime::GateScheduler gate(4);
   ServiceEngine engine(on_scheduler(gate));
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 8; ++i) {
@@ -579,7 +524,7 @@ TEST(ServiceEngineMultiLaneTest, HitIsAnsweredWhileAMissComputes) {
   const Trace trace = generate_trace(small_trace_params());
   const Request hot = build_request(trace, 0, 2);
   const Request slow = build_request(trace, 1, 3);
-  GateScheduler gate(2);
+  runtime::GateScheduler gate(2);
   ServiceEngine engine(on_scheduler(gate));
   engine.start();
   auto warm = engine.submit(hot);

@@ -1,5 +1,6 @@
 // service/stages: every (stage, request kind) pair records into its own
-// service.stage.<stage>.<kind> histogram, for every kind there is.
+// service.stage.<stage>.<kind> histogram, for every kind there is, and
+// the engine records the dispatch wait of every request a lane pops.
 #include "service/stages.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,8 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "service/engine.hpp"
+#include "service/workload.hpp"
 
 namespace pslocal::service::stages {
 namespace {
@@ -37,6 +40,37 @@ TEST(ServiceStagesTest, EveryStageOfEveryKindLandsInItsOwnHistogram) {
       EXPECT_EQ(now.sum - was.sum, value(s, k)) << name;
     }
   }
+}
+
+TEST(ServiceStagesTest, EngineRecordsDispatchWaitForEveryServedRequest) {
+  // Each request a serving lane pops records submit -> pop once, under
+  // its own kind.
+  constexpr RequestKind kKind = RequestKind::kGreedyMaxis;
+  constexpr std::size_t kRequests = 5;
+  TraceParams tp;
+  tp.seed = 3;
+  tp.requests = kRequests;
+  tp.instance_pool = 2;
+  tp.n = 24;
+  tp.m = 16;
+  tp.k = 3;
+  const Trace trace = generate_trace(tp);
+  const std::string name =
+      std::string("service.stage.dispatch_wait_ns.") + kind_name(kKind);
+  const obs::Snapshot before = obs::snapshot();
+  {
+    ServiceEngine engine;
+    engine.start();
+    for (Request req : trace.requests) {
+      req.kind = kKind;
+      auto sub = engine.submit(req);
+      ASSERT_EQ(sub.admission, Admission::kAccepted);
+      EXPECT_EQ(sub.response.get().status, Response::Status::kOk);
+    }
+  }
+  const obs::Snapshot after = obs::snapshot();
+  EXPECT_EQ(after.histogram(name).count - before.histogram(name).count,
+            kRequests);
 }
 
 #endif  // PSLOCAL_OBS_ENABLED
