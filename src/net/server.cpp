@@ -14,6 +14,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -95,7 +96,7 @@ struct Server::Impl {
     bool shed_nack = false;  // a deadline shed; counted when drained
   };
 
-  /// The frames serving lanes post to one io loop, and the write end of
+  /// The frames completions post to one io loop, and the write end of
   /// its wake pipe.  The engine outlives the server and may answer after
   /// stop(), so each completion shares ownership of this and touches
   /// nothing else of the server: stop() closes it (and the pipe) under
@@ -104,6 +105,7 @@ struct Server::Impl {
     std::mutex mu;
     std::vector<OutFrame> frames;  // guarded by mu
     bool closed = false;           // guarded by mu
+    std::thread::id loop_thread;   // guarded by mu; set as the loop starts
     int wake_wr = -1;
 
     void wake() const {
@@ -114,8 +116,11 @@ struct Server::Impl {
     void post(OutFrame frame) {
       std::lock_guard<std::mutex> lock(mu);
       if (closed) return;
-      // A non-empty outbox has its wakeup pending already.
-      if (frames.empty()) wake();
+      // A non-empty outbox has its wakeup pending already.  The loop's
+      // own posts (cache hits answered as it submits them) need none:
+      // it drains its outbox after every batch of events.
+      if (frames.empty() && std::this_thread::get_id() != loop_thread)
+        wake();
       frames.push_back(std::move(frame));
     }
     void close() {
@@ -129,7 +134,7 @@ struct Server::Impl {
 
   /// One epoll event loop: private acceptor (SO_REUSEPORT sibling of the
   /// others), wake pipe, and an exclusive connection set.  Only `outbox`
-  /// is touched by other threads (the serving lanes).
+  /// is touched by other threads (the serving lanes, engine.stop()).
   struct Loop {
     std::size_t index = 0;
     int epoll_fd = -1;
@@ -344,9 +349,10 @@ struct Server::Impl {
   }
 
   /// The completion of one admitted request.  It runs on the thread that
-  /// answers (a serving lane, or the one in engine.stop()), encodes the
-  /// response there under the request's trace context, and posts the
-  /// frame to the owning loop's outbox.
+  /// answers (this io loop for a cache hit, inside engine.submit(); else
+  /// a serving lane, or the one in engine.stop()), encodes the response
+  /// there under the request's trace context, and posts the frame to the
+  /// owning loop's outbox.
   static service::Completion answer_to(std::shared_ptr<Outbox> outbox,
                                        std::uint64_t conn_gen,
                                        const wire::Frame& frame,
@@ -511,6 +517,10 @@ struct Server::Impl {
 
   void loop_main(Loop& loop, const std::atomic<bool>& stop_flag) {
     obs::set_thread_label(config.name + ".loop" + std::to_string(loop.index));
+    {
+      std::lock_guard<std::mutex> lock(loop.outbox->mu);
+      loop.outbox->loop_thread = std::this_thread::get_id();
+    }
     std::vector<epoll_event> events(128);
     while (!stop_flag.load(std::memory_order_acquire)) {
       const int ready = ::epoll_wait(loop.epoll_fd, events.data(),
@@ -554,7 +564,8 @@ struct Server::Impl {
           update_write_interest(loop, conn);
         }
       }
-      // Woken or not: lanes may have posted while we handled io.
+      // Woken or not: lanes may have posted while we handled io, and
+      // this loop posts the hits it answered without a wakeup.
       drain_outbox(loop);
     }
     while (!loop.conns.empty()) close_conn(loop, loop.conns.begin()->first);

@@ -16,17 +16,22 @@
 //                      Admission rejections (kQueueFull / kShutdown)
 //                      become typed NACK frames immediately — the byte
 //                      is never dropped and the client decides when to
-//                      retry.  Connections never migrate between loops,
-//                      so no connection state is ever shared or locked.
+//                      retry.  A cache hit is answered inside submit(),
+//                      so the loop that decoded it also encodes and
+//                      writes it.  Connections never migrate between
+//                      loops, so no connection state is ever shared or
+//                      locked.
 //
 //   serving lanes      Each admitted request carries a completion.  The
-//                      engine lane that answers it encodes the Response
-//                      there and posts the frame to the owning loop's
-//                      outbox, waking that loop.  So a connection's
-//                      responses leave in completion order (a hit at
-//                      once, a miss when its compute ends), never held
-//                      behind a slower one admitted earlier; clients
-//                      match them to requests by request id.
+//                      thread that answers it (the io loop for a hit,
+//                      else the engine lane that computed or parked it)
+//                      encodes the Response there and posts the frame to
+//                      the owning loop's outbox, waking that loop unless
+//                      it is the poster.  So a connection's responses
+//                      leave in completion order (a hit at once, a miss
+//                      when its compute ends), never held behind a
+//                      slower one admitted earlier; clients match them
+//                      to requests by request id.
 //
 // config.io_threads picks the loop count (0 = one per core, capped at
 // 8).  With one loop this is exactly the previous single-poll-loop

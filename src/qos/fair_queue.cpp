@@ -52,24 +52,38 @@ service::AdmissionVerdict FairQueue::admit(service::Pending&& pending) {
       g_shed_rate.add();
       return {service::Admission::kShed, kLaneBoundBackoffUs};
     }
-    const TokenBucket::Verdict tb = lane.bucket.try_acquire(pending.submit_ns);
-    if (!tb.admitted) {
-      ++lane.shed_rate;
-      g_shed_rate.add();
-      return {service::Admission::kShed, tb.retry_after_us};
-    }
-    pending.tenant = idx;
-    if (cfg.deadline_ms > 0)
-      pending.deadline_ns = pending.submit_ns + cfg.deadline_ms * 1'000'000;
+    verdict = charge_locked(pending, idx);
+    if (verdict.admission != service::Admission::kAccepted) return verdict;
     lane.fifo.push_back(std::move(pending));
-    ++lane.admitted;
     ++total_;
-    g_admitted.add();
     g_depth.record(total_);
-    verdict = {service::Admission::kAccepted, 0};
   }
   cv_.notify_one();
   return verdict;
+}
+
+service::AdmissionVerdict FairQueue::admit_hit(service::Pending& pending) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (shutdown_) return {service::Admission::kShutdown, 0};
+  return charge_locked(pending, registry_.resolve(pending.request.tenant));
+}
+
+service::AdmissionVerdict FairQueue::charge_locked(service::Pending& pending,
+                                                   std::size_t idx) {
+  const TenantConfig& cfg = registry_.config(idx);
+  Lane& lane = lanes_[idx];
+  const TokenBucket::Verdict tb = lane.bucket.try_acquire(pending.submit_ns);
+  if (!tb.admitted) {
+    ++lane.shed_rate;
+    g_shed_rate.add();
+    return {service::Admission::kShed, tb.retry_after_us};
+  }
+  pending.tenant = idx;
+  if (cfg.deadline_ms > 0)
+    pending.deadline_ns = pending.submit_ns + cfg.deadline_ms * 1'000'000;
+  ++lane.admitted;
+  g_admitted.add();
+  return {service::Admission::kAccepted, 0};
 }
 
 std::size_t FairQueue::pop_batch(std::vector<service::Pending>& out,

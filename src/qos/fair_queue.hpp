@@ -6,7 +6,10 @@
 // (kQueueFull — identical contract to RequestQueue), the tenant's
 // optional per-lane queue bound and token bucket (kShed with a
 // deterministic retry_after_us hint), then enqueue into the tenant's
-// FIFO stamped with its deadline class.  The serving lanes' pop_batch
+// FIFO stamped with its deadline class.  admit_hit() is the admission
+// of a request the engine answers from its result cache as it is
+// submitted: the shutdown check and the token bucket only, since a hit
+// takes no queue slot and never reaches DRR.  The serving lanes' pop_batch
 // visits tenant lanes in a seed-fixed permutation and credits each
 // visit `quantum x weight` deficit, so backlogged tenants drain in
 // proportion to their weights — the qc `qos_fairness` property pins the
@@ -35,6 +38,11 @@ class FairQueue final : public service::AdmissionQueue {
 
   [[nodiscard]] service::AdmissionVerdict admit(
       service::Pending&& pending) override;
+  /// Admit a request without queueing it (see header comment): kShutdown
+  /// or kShed exactly as admit() would give them, else kAccepted with
+  /// the tenant stamped into `pending` and counted as admitted.
+  [[nodiscard]] service::AdmissionVerdict admit_hit(
+      service::Pending& pending);
   std::size_t pop_batch(std::vector<service::Pending>& out,
                         std::size_t max) override;
   void shutdown() override;
@@ -76,6 +84,12 @@ class FairQueue final : public service::AdmissionQueue {
     std::uint64_t shed_rate = 0;
     std::uint64_t shed_deadline = 0;
   };
+
+  /// The token charge every admitted request pays, queued or not: take
+  /// a token from tenant `idx`'s bucket or shed, then stamp the tenant
+  /// and its deadline into `pending`.  Requires mu_.
+  [[nodiscard]] service::AdmissionVerdict charge_locked(
+      service::Pending& pending, std::size_t idx);
 
   const TenantRegistry registry_;
   const std::size_t capacity_;

@@ -33,6 +33,22 @@ std::optional<std::string> SolverCache::lookup(std::uint64_t key) {
   return it->second->second;
 }
 
+std::optional<std::string> SolverCache::peek(std::uint64_t key) const {
+  if (!config_.enabled) return std::nullopt;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) return std::nullopt;
+  return it->second->second;
+}
+
+void SolverCache::count_hit(std::uint64_t key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(key);
+  if (it != index_.end()) lru_.splice(lru_.begin(), lru_, it->second);
+  ++stats_.hits;
+  g_cache_hits.add();
+}
+
 void SolverCache::insert(std::uint64_t key, const std::string& payload) {
   if (!config_.enabled) return;
   std::lock_guard<std::mutex> lock(mu_);

@@ -57,6 +57,16 @@ class SolverCache {
   /// lookup/insert calls.
   [[nodiscard]] std::optional<std::string> lookup(std::uint64_t key);
 
+  /// The payload if resident (nullopt when disabled), touching neither
+  /// recency nor the totals.  A caller that serves it calls count_hit()
+  /// once the request is admitted, so a probe that ends in a refusal or
+  /// in a queued miss (probed again by lookup()) counts nothing.
+  [[nodiscard]] std::optional<std::string> peek(std::uint64_t key) const;
+
+  /// What lookup() books for a hit: one hit, and `key`'s recency
+  /// refreshed if it is still resident.
+  void count_hit(std::uint64_t key);
+
   /// Store a payload (no-op when disabled; refreshes recency when the key
   /// is already resident — idempotent against duplicate computes).
   void insert(std::uint64_t key, const std::string& payload);

@@ -20,6 +20,22 @@ const obs::Counter g_served("service.responses.served");
 const obs::Counter g_served_cached("service.responses.cached");
 const obs::Counter g_errors("service.responses.errors");
 const obs::Counter g_batches("service.batches");
+// End-to-end engine latency (total_ns) of every answered request, by
+// outcome; "rejected" is deadline sheds and stop-time rejections.
+const obs::Histogram g_total_hit("service.total_ns.hit");
+const obs::Histogram g_total_miss("service.total_ns.miss");
+const obs::Histogram g_total_error("service.total_ns.error");
+const obs::Histogram g_total_rejected("service.total_ns.rejected");
+
+const obs::Histogram& total_histogram(const Response& resp) {
+  switch (resp.status) {
+    case Response::Status::kOk:
+      return resp.cache_hit ? g_total_hit : g_total_miss;
+    case Response::Status::kError: return g_total_error;
+    case Response::Status::kRejected: return g_total_rejected;
+  }
+  return g_total_rejected;
+}
 }  // namespace
 
 ServiceEngine::ServiceEngine(EngineConfig config)
@@ -58,6 +74,7 @@ void ServiceEngine::start() {
   lanes_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i)
     lanes_.emplace_back([this, i] { lane_main(i); });
+  answers_hits_.store(true, std::memory_order_release);
 }
 
 void ServiceEngine::stop(StopMode mode) {
@@ -66,6 +83,7 @@ void ServiceEngine::stop(StopMode mode) {
     if (stopped_) return;
     stopped_ = true;
   }
+  answers_hits_.store(false, std::memory_order_release);
   if (mode == StopMode::kReject)
     reject_drained_.store(true, std::memory_order_release);
   queue_->shutdown();
@@ -103,19 +121,47 @@ AdmissionVerdict ServiceEngine::submit(Request request, Completion complete) {
   pending.request = std::move(request);
   pending.complete = std::move(complete);
   pending.submit_ns = now_ns();
-  const std::uint64_t submit_ns = pending.submit_ns;
 
-  const AdmissionVerdict verdict = queue_->admit(std::move(pending));
-  // Admission wait is the time submit() spent getting a verdict from
-  // the queue (lock contention under load); queue depth at entry is
-  // how much work was already ahead of an accepted request.
-  stages::record(stages::Stage::kAdmissionWait, kind, now_ns() - submit_ns,
+  // A running engine answers a cached key here, on the submitting
+  // thread, without a queue slot or a lane.  The peek counts nothing: a
+  // refused hit is not served, and a miss is probed again (and counted)
+  // by the lane that serves it.
+  std::uint64_t key = 0;
+  std::optional<std::string> hit;
+  if (answers_hits_.load(std::memory_order_acquire)) {
+    key = cache_key(pending.request);
+    hit = cache_.peek(key);
+  }
+  const std::uint64_t admit_ns = now_ns();
+  AdmissionVerdict verdict;
+  if (!hit) {
+    verdict = queue_->admit(std::move(pending));
+  } else if (fair_queue_ != nullptr) {
+    verdict = fair_queue_->admit_hit(pending);
+  } else {
+    verdict = {Admission::kAccepted, 0};
+  }
+  // Admission wait is the time submit() spent getting a verdict (lock
+  // contention under load); queue depth at entry is how much work was
+  // already ahead of a queued request.
+  stages::record(stages::Stage::kAdmissionWait, kind, now_ns() - admit_ns,
                  trace_id);
   switch (verdict.admission) {
     case Admission::kAccepted:
       accepted_.fetch_add(1, std::memory_order_relaxed);
-      stages::record(stages::Stage::kQueueDepth, kind, queue_->depth(),
-                     trace_id);
+      if (hit) {
+        cache_.count_hit(key);
+        stages::record(stages::Stage::kCacheProbe, kind,
+                       admit_ns - pending.submit_ns, trace_id);
+        Response resp;
+        resp.key = key;
+        resp.cache_hit = true;
+        resp.result = std::move(*hit);
+        count_served(pending, std::move(resp));
+      } else {
+        stages::record(stages::Stage::kQueueDepth, kind, queue_->depth(),
+                       trace_id);
+      }
       break;
     case Admission::kQueueFull:
       rejected_full_.fetch_add(1, std::memory_order_relaxed);
@@ -170,15 +216,13 @@ bool ServiceEngine::shed_if_expired(Pending& pending) {
   const qos::TenantConfig& cfg =
       fair_queue_->registry().config(pending.tenant);
   Response resp;
-  resp.id = pending.request.id;
   resp.status = Response::Status::kRejected;
   resp.reason = "shed";
   resp.retry_after_us = cfg.deadline_ms * 1000;
-  resp.total_ns = pending.dispatch_ns - pending.submit_ns;
   fair_queue_->record_deadline_shed(pending.tenant);
   shed_.fetch_add(1, std::memory_order_relaxed);
   shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-  pending.complete(std::move(resp));
+  finish(pending, std::move(resp));
   return true;
 }
 
@@ -245,44 +289,54 @@ void ServiceEngine::serve(Pending& pending) {
 void ServiceEngine::answer(Pending& pending, std::uint64_t key,
                            const Outcome& outcome, bool cache_hit) {
   Response resp;
-  resp.id = pending.request.id;
   resp.key = key;
   resp.queue_ns = pending.dispatch_ns - pending.submit_ns;
   if (!outcome.error.empty()) {
     resp.status = Response::Status::kError;
     resp.reason = outcome.error;
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    g_errors.add();
   } else {
     resp.status = Response::Status::kOk;
     resp.result = outcome.payload;
     resp.cache_hit = cache_hit;
     if (!cache_hit) resp.compute_ns = outcome.compute_ns;
   }
-  resp.total_ns = now_ns() - pending.submit_ns;
-  if (!tenant_latency_.empty())
-    tenant_latency_[pending.tenant].record(resp.total_ns,
-                                           pending.request.trace_id);
+  count_served(pending, std::move(resp));
+}
+
+void ServiceEngine::count_served(Pending& pending, Response resp) {
   served_.fetch_add(1, std::memory_order_relaxed);
   g_served.add();
+  if (resp.status == Response::Status::kError) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    g_errors.add();
+  }
   if (resp.cache_hit) {
     served_cached_.fetch_add(1, std::memory_order_relaxed);
     g_served_cached.add();
   }
-  pending.complete(std::move(resp));
+  finish(pending, std::move(resp));
 }
 
 void ServiceEngine::reject_all(std::vector<Pending>& pendings,
                                const char* reason) {
   for (Pending& pending : pendings) {
     Response resp;
-    resp.id = pending.request.id;
     resp.status = Response::Status::kRejected;
     resp.reason = reason;
-    resp.total_ns = now_ns() - pending.submit_ns;
     rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    pending.complete(std::move(resp));
+    finish(pending, std::move(resp));
   }
+}
+
+void ServiceEngine::finish(Pending& pending, Response resp) {
+  const std::uint64_t trace_id = pending.request.trace_id;
+  resp.id = pending.request.id;
+  resp.total_ns = now_ns() - pending.submit_ns;
+  total_histogram(resp).record(resp.total_ns, trace_id);
+  if (!tenant_latency_.empty() &&
+      resp.status != Response::Status::kRejected)
+    tenant_latency_[pending.tenant].record(resp.total_ns, trace_id);
+  pending.complete(std::move(resp));
 }
 
 ServiceEngine::Stats ServiceEngine::stats() const {

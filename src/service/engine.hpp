@@ -2,15 +2,20 @@
 //
 // Wiring (docs/service.md has the full walkthrough):
 //
-//   clients --submit--> RequestQueue --pop one--> serving lane (x N)
-//                                        |  claim the key, or park on the
-//                                        |    lane already computing it
-//                                        |  SolverCache probe
-//                                        |  hit:  answer now
-//                                        |  miss: compute inline, cache,
-//                                        |        answer + parked requests
-//                                        '--> each answer as soon as it
-//                                             is ready
+//   clients --submit--> SolverCache peek
+//                         |  hit:  admit (stop check, QoS token), answer
+//                         |        on the submitting thread, now
+//                         |  miss: admit into the RequestQueue
+//                         v
+//                       pop one --> serving lane (x N)
+//                                     |  claim the key, or park on the
+//                                     |    lane already computing it
+//                                     |  SolverCache probe
+//                                     |  hit:  answer now
+//                                     |  miss: compute inline, cache,
+//                                     |        answer + parked requests
+//                                     '--> each answer as soon as it
+//                                          is ready
 //
 // N is the scheduler's thread_count(): one lane under the default 1-lane
 // global pool.  A lane runs its solver's parallel regions inline (as a
@@ -25,9 +30,21 @@
 //    (reason "shutdown") if the engine stopped first.  Every accepted
 //    request is answered exactly once; no future is ever abandoned.
 //    submit(request, complete) answers through a Completion instead: it
-//    runs once, on the serving lane that answers (or on the thread in
-//    stop()), so it must be quick and must not call back into the engine
-//    (net::Server encodes the frame there and posts it to an io loop).
+//    runs once, on the thread that answers, so it must be quick and must
+//    not call back into the engine (net::Server encodes the frame there
+//    and posts it to an io loop).  That thread is a serving lane, the
+//    thread in stop(), or — for a cache hit — the submitting thread,
+//    before submit() returns.  So a caller must not hold, while it
+//    submits, a lock that its completion takes; and for a hit the future
+//    of submit(request) is ready when it returns.
+//
+//  * Cache hits skip the queue.  Between start() and stop(), submit()
+//    peeks at the result cache; a hit passes the admission checks that
+//    apply to it — the stop check and, with QoS on, its tenant's token
+//    bucket (kShed and the same hint as a queued request) — and is
+//    answered on the submitting thread.  It takes no queue slot and no
+//    lane, so it is answered even while the queue is full or every lane
+//    is busy.  Only misses queue for a lane.
 //
 //  * One compute per key: while a lane computes a key, requests for the
 //    same key park on that compute and are answered from it as hits.
@@ -39,8 +56,9 @@
 //
 //  * An engine is constructed stopped.  start() launches the lanes; an
 //    engine that is never started still admits requests (up to queue
-//    capacity — the deterministic admission-probe used by tests) and
-//    rejects them with "shutdown" at stop()/destruction.
+//    capacity — the deterministic admission-probe used by tests; it
+//    answers nothing inline) and rejects them with "shutdown" at
+//    stop()/destruction.
 #pragma once
 
 #include <atomic>
@@ -140,12 +158,17 @@ class ServiceEngine {
     std::uint64_t shed = 0;
     std::uint64_t shed_deadline = 0;
     std::uint64_t served = 0;        // responses fulfilled (kOk or kError)
-    std::uint64_t served_cached = 0; // of which cache_hit (cache, or
+    std::uint64_t served_cached = 0; // of which cache_hit (answered at
+                                     // submit, by a lane's probe, or
                                      // parked on another lane's compute)
     std::uint64_t errors = 0;
-    std::uint64_t batches = 0;       // key groups: cache probes, each
-                                     // answering itself + parked requests
-    std::uint64_t dispatch_cycles = 0;  // requests popped to be served
+    std::uint64_t batches = 0;       // lane key claims: cache probes,
+                                     // each answering itself + parked
+                                     // requests (hits answered at
+                                     // submit claim nothing)
+    std::uint64_t dispatch_cycles = 0;  // requests a lane popped to
+                                        // serve (never a hit answered
+                                        // at submit)
     std::size_t queue_capacity = 0;  // admission bound (self-describing
                                      // overload scrapes)
     SolverCache::Stats cache;
@@ -174,7 +197,12 @@ class ServiceEngine {
   [[nodiscard]] bool shed_if_expired(Pending& pending);
   void answer(Pending& pending, std::uint64_t key, const Outcome& outcome,
               bool cache_hit);
+  /// Tally a served response (kOk or kError), then finish() it.
+  void count_served(Pending& pending, Response resp);
   void reject_all(std::vector<Pending>& pendings, const char* reason);
+  /// The one exit of every admitted request: stamps id and total_ns,
+  /// records total_ns under its outcome, and calls the completion.
+  void finish(Pending& pending, Response resp);
 
   EngineConfig config_;
   runtime::Scheduler* sched_;  // never null after construction
@@ -193,6 +221,8 @@ class ServiceEngine {
   bool started_ = false;  // guarded by lifecycle_mu_
   bool stopped_ = false;
   std::mutex lifecycle_mu_;
+  /// Between start() and stop(): submit() answers cache hits itself.
+  std::atomic<bool> answers_hits_{false};
   /// StopMode::kReject was requested: lanes reject what they pop
   /// instead of serving it.
   std::atomic<bool> reject_drained_{false};

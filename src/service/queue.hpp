@@ -44,8 +44,9 @@ struct AdmissionVerdict {
 };
 
 /// Receives an admitted request's answer.  The engine calls it exactly
-/// once, on the thread that answers: a serving lane, or the thread
-/// running ServiceEngine::stop().
+/// once, on the thread that answers: the submitting thread for a cache
+/// hit (before submit() returns), a serving lane, or the thread running
+/// ServiceEngine::stop().
 using Completion = std::function<void(Response)>;
 
 /// One admitted request travelling through the engine.

@@ -5,15 +5,20 @@
 // the request's trace_id as a tail exemplar — so a p99 bucket in a
 // scraped snapshot links directly to a stitched trace:
 //
-//   admission_wait_ns  inside ServiceEngine::submit (lock + queue push)
-//   queue_depth        queue depth observed at admission (a count)
+//   admission_wait_ns  inside ServiceEngine::submit: the admission call
+//                      (lock + queue push, or a hit's token charge)
+//   queue_depth        queue depth observed at admission (a count; queued
+//                      requests only)
 //   dispatch_wait_ns   submit() entry -> a serving lane popped the
-//                      request (admission_wait_ns included)
-//   cache_probe_ns     SolverCache lookup on a serving lane (one per key
+//                      request (admission_wait_ns included; queued
+//                      requests only)
+//   cache_probe_ns     the SolverCache probe that answered a hit at
+//                      submit, or a lookup on a serving lane (one per key
 //                      claim; parked same-key requests do not probe)
 //   solve_ns           solver execution (cache misses only)
 //   serialize_ns       response payload + frame encode (net::Server, on
-//                      the serving lane that answered)
+//                      the thread that answered: the io loop for a hit
+//                      answered at submit, else a serving lane)
 //   wire_write_ns      response enqueue -> last byte handed to the socket
 //   rtt_ns             client send -> response decoded (per attempt winner)
 //

@@ -2,7 +2,8 @@
 // parity with in-process execution over one and over several concurrent
 // connections, cache visibility, the typed-NACK backpressure contract,
 // per-connection fault isolation, answers leaving in completion order,
-// and answers that arrive after the server is gone.
+// hits answered while every lane is busy, and answers that arrive after
+// the server is gone.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -185,6 +186,47 @@ TEST(NetServerTest, ReadyResponseIsNotHeldBehindASlowerOne) {
   slow.kind = service::RequestKind::kBuildConflictGraph;
   slow.k = 3;
   runtime::GateScheduler gate(2);
+  service::EngineConfig cfg;
+  cfg.scheduler = &gate;
+  service::ServiceEngine engine(cfg);
+  engine.start();
+  Server server(engine, {});
+  server.start();
+  Client a = make_client(server);
+  a.connect();
+  Client b = make_client(server);
+  b.connect();
+  ASSERT_EQ(b.call(hot).outcome, Client::Outcome::kOk);  // warm the hit
+
+  gate.close();
+  const std::uint64_t slow_id = a.send(slow);
+  const bool computing = gate.wait_held(1);
+  const Client::Result hit = b.call(hot, /*timeout_ms=*/5000);
+  const std::size_t held_after_hit = gate.held();
+  gate.open();
+
+  EXPECT_TRUE(computing);
+  ASSERT_EQ(hit.outcome, Client::Outcome::kOk)
+      << Client::outcome_name(hit.outcome);
+  EXPECT_TRUE(hit.response.cache_hit);
+  EXPECT_EQ(held_after_hit, 1u);
+  const Client::Result miss = a.wait(slow_id);
+  ASSERT_EQ(miss.outcome, Client::Outcome::kOk) << miss.error;
+  EXPECT_FALSE(miss.response.cache_hit);
+}
+
+TEST(NetServerTest, HitIsAnsweredWhileEveryLaneIsBusy) {
+  // The engine's only lane is held mid-compute in A's miss at the
+  // closed gate.  B's warmed hit needs no lane: the io loop that
+  // decoded it answers it inside submit() and writes it.
+  const service::Trace trace = small_trace();
+  service::Request hot = trace.requests[0];
+  hot.kind = service::RequestKind::kBuildConflictGraph;
+  hot.k = 2;
+  service::Request slow = trace.requests[1];
+  slow.kind = service::RequestKind::kBuildConflictGraph;
+  slow.k = 3;
+  runtime::GateScheduler gate(1);
   service::EngineConfig cfg;
   cfg.scheduler = &gate;
   service::ServiceEngine engine(cfg);

@@ -1,7 +1,8 @@
 // qos/: tenant registry + token-bucket determinism, weighted-fair
 // admission (DRR exactness, lane bounds, deadline stamping), the engine
-// integration (shed verdicts with backoff hints, deadline sheds at
-// dispatch, the stats surface), and the end-to-end typed-NACK contract
+// integration (shed verdicts with backoff hints, token charges for
+// hits answered at submit, deadline sheds at dispatch, the stats
+// surface), and the end-to-end typed-NACK contract
 // over real sockets.  QosEngineMultiLaneTest reruns the engine cases on
 // a 4-lane pool (4 serving lanes).  All suites match the TSan CI filter
 // `*Qos*`.
@@ -330,6 +331,65 @@ TEST(QosEngineTest, ShedVerdictCarriesHintAndAcceptedBytesStayPure) {
 TEST(QosEngineMultiLaneTest, ShedVerdictCarriesHintAndAcceptedBytesStayPure) {
   runtime::ThreadPool pool(4);
   check_shed_verdict(&pool);
+}
+
+void check_hits_pay_tokens(runtime::Scheduler* sched) {
+  // A warmed key is answered at submit, yet each hit still takes one
+  // token from its tenant's bucket: a burst of hits is accepted exactly
+  // `burst` times, and the rest are shed with the bucket's refill hint,
+  // as queued requests are.  A shed hit counts no cache hit.
+  const service::Trace trace = qos_trace();
+  service::EngineConfig cfg = on_scheduler(sched);
+  cfg.qos.enabled = true;
+  qos::TenantConfig t;
+  t.name = "t";
+  t.rate_rps = 0.1;  // one token per 10 s: nothing refills mid-test
+  t.burst = 3.0;
+  cfg.qos.tenants = {t};
+  service::ServiceEngine engine(cfg);
+  engine.start();
+  auto warm = engine.submit(trace.requests[0]);  // the unlimited default
+  ASSERT_EQ(warm.admission, Admission::kAccepted);
+  ASSERT_FALSE(warm.response.get().cache_hit);
+
+  service::Request hot = trace.requests[0];
+  hot.tenant = "t";
+  std::size_t accepted = 0;
+  std::vector<std::uint64_t> hints;
+  for (int i = 0; i < 7; ++i) {
+    auto sub = engine.submit(hot);
+    if (sub.admission == Admission::kAccepted) {
+      ++accepted;
+      EXPECT_TRUE(sub.response.get().cache_hit);
+    } else {
+      EXPECT_EQ(sub.admission, Admission::kShed);
+      hints.push_back(sub.retry_after_us);
+    }
+  }
+  EXPECT_EQ(accepted, 3u);
+  ASSERT_EQ(hints.size(), 4u);
+  for (const std::uint64_t hint : hints) {
+    EXPECT_GT(hint, 9'000'000u);
+    EXPECT_LE(hint, 10'000'000u);
+  }
+
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.shed, 4u);
+  EXPECT_EQ(stats.served_cached, 3u);
+  EXPECT_EQ(stats.cache.hits, 3u);
+  ASSERT_EQ(stats.qos_tenants.size(), 2u);
+  EXPECT_EQ(stats.qos_tenants[1].admitted, 3u);
+  EXPECT_EQ(stats.qos_tenants[1].shed_rate, 4u);
+  engine.stop();
+}
+
+TEST(QosEngineTest, HitsPayTheirTenantsTokens) {
+  check_hits_pay_tokens(nullptr);
+}
+
+TEST(QosEngineMultiLaneTest, HitsPayTheirTenantsTokens) {
+  runtime::ThreadPool pool(4);
+  check_hits_pay_tokens(&pool);
 }
 
 void check_deadline_shed(runtime::Scheduler* sched) {

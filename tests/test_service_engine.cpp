@@ -1,15 +1,19 @@
 // service/engine + workload: end-to-end serving determinism, admission
-// control, shutdown semantics, one compute per key across serving lanes,
-// and replay files.  The ServiceEngineMultiLaneTest suite reruns the
-// concurrency, shutdown, cache-total and replay cases on a 4-lane pool
-// (4 serving lanes); the default config runs one lane.
+// control, shutdown semantics, cache hits answered on the submitting
+// thread, one compute per key across serving lanes, and replay files.
+// The ServiceEngineMultiLaneTest suite reruns the concurrency, shutdown,
+// cache-total and replay cases on a 4-lane pool (4 serving lanes); the
+// default config runs one lane.
 #include "service/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gate_scheduler.hpp"
@@ -178,6 +182,49 @@ TEST(ServiceEngineTest, SubmitAfterStopIsRejectedImmediately) {
   engine.stop();
   auto sub = engine.submit(trace.requests[0]);
   EXPECT_EQ(sub.admission, Admission::kShutdown);
+}
+
+TEST(ServiceEngineTest, WarmedHitAfterStopIsRejected) {
+  // The payload is still cached, but a stopped engine answers nothing:
+  // the hit is refused at admission and counts no cache hit.
+  const Trace trace = generate_trace(small_trace_params());
+  ServiceEngine engine;
+  engine.start();
+  auto warm = engine.submit(trace.requests[0]);
+  ASSERT_EQ(warm.admission, Admission::kAccepted);
+  ASSERT_EQ(warm.response.get().status, Response::Status::kOk);
+  engine.stop();
+  auto sub = engine.submit(trace.requests[0]);
+  EXPECT_EQ(sub.admission, Admission::kShutdown);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.rejected_shutdown, 1u);
+  EXPECT_EQ(stats.served, 1u);
+  EXPECT_EQ(stats.cache.hits, 0u);
+  EXPECT_EQ(stats.cache.misses, 1u);
+}
+
+TEST(ServiceEngineTest, MissesAndHitsEachCountOnce) {
+  // M distinct keys, then H repeats of them: each served request counts
+  // one cache miss or one cache hit, whether the hit is answered at
+  // submit or by a lane.
+  const Trace trace = generate_trace(small_trace_params());
+  constexpr std::size_t kMisses = 3;
+  constexpr std::size_t kHits = 7;
+  ServiceEngine engine;
+  engine.start();
+  for (std::size_t i = 0; i < kMisses + kHits; ++i) {
+    auto sub = engine.submit(build_request(trace, 0, 2 + i % kMisses));
+    ASSERT_EQ(sub.admission, Admission::kAccepted);
+    const Response resp = sub.response.get();
+    ASSERT_EQ(resp.status, Response::Status::kOk) << resp.reason;
+    EXPECT_EQ(resp.cache_hit, i >= kMisses);
+  }
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.accepted, kMisses + kHits);
+  EXPECT_EQ(stats.served, kMisses + kHits);
+  EXPECT_EQ(stats.served_cached, kHits);
+  EXPECT_EQ(stats.cache.hits, kHits);
+  EXPECT_EQ(stats.cache.misses, kMisses);
 }
 
 TEST(ServiceEngineTest, SolverErrorYieldsErrorResponseNotCrash) {
@@ -552,6 +599,103 @@ TEST(ServiceEngineMultiLaneTest, HitIsAnsweredWhileAMissComputes) {
   const Response miss_resp = miss.response.get();
   EXPECT_EQ(miss_resp.status, Response::Status::kOk) << miss_resp.reason;
   EXPECT_FALSE(miss_resp.cache_hit);
+}
+
+/// What a completion saw: the thread it ran on, and the answer.
+struct Answered {
+  std::thread::id thread;
+  Response resp;
+};
+
+/// A completion that hands its thread and answer to `promise`.
+Completion answer_into(std::shared_ptr<std::promise<Answered>> promise) {
+  return [promise = std::move(promise)](Response resp) {
+    promise->set_value({std::this_thread::get_id(), std::move(resp)});
+  };
+}
+
+TEST(ServiceEngineTest, HitIsAnsweredOnTheSubmittingThreadWhileTheLaneIsBusy) {
+  // The only lane is held inside a miss at the closed gate.  A hit
+  // submitted meanwhile needs neither the queue nor the lane: its
+  // completion runs on this thread before submit() returns.
+  const Trace trace = generate_trace(small_trace_params());
+  const Request hot = build_request(trace, 0, 2);
+  const Request slow = build_request(trace, 1, 3);
+  runtime::GateScheduler gate(1);
+  ServiceEngine engine(on_scheduler(gate));
+  engine.start();
+  auto warm = engine.submit(hot);
+  ASSERT_EQ(warm.admission, Admission::kAccepted);
+  ASSERT_FALSE(warm.response.get().cache_hit);
+
+  gate.close();
+  auto miss = engine.submit(slow);
+  ASSERT_EQ(miss.admission, Admission::kAccepted);
+  const bool computing = gate.wait_held(1);
+  auto promise = std::make_shared<std::promise<Answered>>();
+  std::future<Answered> hit = promise->get_future();
+  const AdmissionVerdict verdict = engine.submit(hot, answer_into(promise));
+  const bool answered_at_return =
+      hit.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  const bool miss_pending = miss.response.wait_for(std::chrono::seconds(0)) ==
+                            std::future_status::timeout;
+  gate.open();
+
+  EXPECT_TRUE(computing);
+  EXPECT_EQ(verdict.admission, Admission::kAccepted);
+  EXPECT_TRUE(answered_at_return);
+  EXPECT_TRUE(miss_pending);
+  const Answered answered = hit.get();
+  EXPECT_EQ(answered.thread, std::this_thread::get_id());
+  EXPECT_EQ(answered.resp.status, Response::Status::kOk);
+  EXPECT_TRUE(answered.resp.cache_hit);
+  EXPECT_EQ(answered.resp.queue_ns, 0u);
+  const Response miss_resp = miss.response.get();
+  EXPECT_EQ(miss_resp.status, Response::Status::kOk) << miss_resp.reason;
+  EXPECT_FALSE(miss_resp.cache_hit);
+}
+
+TEST(ServiceEngineTest, HitIsServedWhenTheQueueIsFull) {
+  // Capacity 1: the lane is held in one miss and a second miss fills
+  // the queue, so a third miss is refused.  A warmed hit takes no queue
+  // slot, so it is still accepted and answered.
+  const Trace trace = generate_trace(small_trace_params());
+  const Request hot = build_request(trace, 0, 2);
+  runtime::GateScheduler gate(1);
+  EngineConfig cfg = on_scheduler(gate);
+  cfg.queue_capacity = 1;
+  ServiceEngine engine(cfg);
+  engine.start();
+  auto warm = engine.submit(hot);
+  ASSERT_EQ(warm.admission, Admission::kAccepted);
+  ASSERT_FALSE(warm.response.get().cache_hit);
+
+  gate.close();
+  auto held = engine.submit(build_request(trace, 1, 3));
+  ASSERT_EQ(held.admission, Admission::kAccepted);
+  const bool computing = gate.wait_held(1);
+  auto queued = engine.submit(build_request(trace, 2, 3));
+  ASSERT_EQ(queued.admission, Admission::kAccepted);
+  const Admission refused = engine.submit(build_request(trace, 3, 3)).admission;
+  auto hit = engine.submit(hot);
+  const bool answered_at_return =
+      hit.admission == Admission::kAccepted &&
+      hit.response.wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready;
+  gate.open();
+
+  EXPECT_TRUE(computing);
+  EXPECT_EQ(refused, Admission::kQueueFull);
+  ASSERT_EQ(hit.admission, Admission::kAccepted);
+  EXPECT_TRUE(answered_at_return);
+  const Response hit_resp = hit.response.get();
+  EXPECT_EQ(hit_resp.status, Response::Status::kOk);
+  EXPECT_TRUE(hit_resp.cache_hit);
+  EXPECT_EQ(held.response.get().status, Response::Status::kOk);
+  EXPECT_EQ(queued.response.get().status, Response::Status::kOk);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.rejected_full, 1u);
+  EXPECT_EQ(stats.served, 4u);
 }
 
 }  // namespace
