@@ -8,7 +8,7 @@
 // scrapes it from another process.
 //
 //   pslocal_netserve                          # ephemeral port, prints it
-//   pslocal_netserve --port=7411 --threads=4  # fixed port, solver pool
+//   pslocal_netserve --port=7411 --threads=4  # fixed port, 4 serving lanes
 //   pslocal_netserve --self-test=32           # loopback round-trip, exit
 //
 // --self-test=N short-circuits the serving loop: an in-process

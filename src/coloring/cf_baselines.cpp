@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <vector>
-
-#include "runtime/parallel.hpp"
 
 namespace pslocal {
 
@@ -32,8 +29,7 @@ CfColoring dyadic_interval_cf_coloring(std::size_t n) {
   return f;
 }
 
-GreedyCfResult greedy_cf_coloring(const Hypergraph& h,
-                                  runtime::Scheduler& sched) {
+GreedyCfResult greedy_cf_coloring(const Hypergraph& h, runtime::Scheduler&) {
   const std::size_t n = h.vertex_count();
   GreedyCfResult res;
   res.coloring.assign(n, kCfUncolored);
@@ -48,11 +44,9 @@ GreedyCfResult greedy_cf_coloring(const Hypergraph& h,
 
   // Would giving v color c keep every incident edge acceptable?  An edge
   // is acceptable unless it is fully colored *and* has no unique color.
-  // Pure read of the committed coloring (v's entry is still kCfUncolored
-  // and is substituted virtually), so candidate colors can be scored
-  // concurrently.
-  auto feasible = [&](VertexId v, std::size_t c,
-                      std::vector<std::size_t>& colors) {
+  // v's entry is still kCfUncolored and is substituted virtually.
+  std::vector<std::size_t> colors;
+  auto feasible = [&](VertexId v, std::size_t c) {
     for (EdgeId e : h.edges_of(v)) {
       colors.clear();
       bool complete = true;
@@ -78,40 +72,14 @@ GreedyCfResult greedy_cf_coloring(const Hypergraph& h,
     return true;
   };
 
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  // Below this palette size the sequential early-exit scan wins; both
-  // paths compute the same minimum feasible color.
-  constexpr std::size_t kParallelPalette = 64;
-
   std::size_t palette = 0;
   for (VertexId v : order) {
-    std::size_t pick = kNone;
-    if (palette < kParallelPalette || sched.thread_count() == 1) {
-      std::vector<std::size_t> scratch;
-      for (std::size_t c = 1; c <= palette; ++c) {
-        if (feasible(v, c, scratch)) {
-          pick = c;
-          break;
-        }
-      }
-    } else {
-      // Parallel scoring: min over the palette of the first feasible
-      // color.  Chunks scan ascending and stop at their first hit, so
-      // each chunk returns its own minimum; combining with min yields
-      // exactly the sequential scan's pick.
-      pick = runtime::parallel_reduce<std::size_t>(
-          sched, {palette, 0}, kNone,
-          [&](std::size_t lo, std::size_t hi, std::size_t) {
-            std::vector<std::size_t> scratch;
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (feasible(v, i + 1, scratch)) return i + 1;
-            }
-            return kNone;
-          },
-          [](std::size_t a, std::size_t b) { return std::min(a, b); });
-    }
-    // Fresh color: unique in every incident edge by construction.
-    res.coloring[v] = pick == kNone ? ++palette : pick;
+    // The smallest feasible color; a fresh one is unique in every
+    // incident edge by construction.
+    std::size_t pick = 1;
+    while (pick <= palette && !feasible(v, pick)) ++pick;
+    if (pick > palette) ++palette;
+    res.coloring[v] = pick;
   }
   res.colors_used = cf_color_count(res.coloring);
   PSL_ENSURES(is_conflict_free(h, res.coloring));

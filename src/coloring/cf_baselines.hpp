@@ -45,9 +45,9 @@ struct GreedyCfResult {
 /// colored is happy.  A globally fresh color always works (it is unique
 /// in every incident edge), and an edge is only checked at the moment it
 /// completes — after which none of its vertices is ever recolored — so
-/// the pass always ends in a valid CF coloring.  For large palettes the
-/// per-vertex color scoring fans out on `sched`; the pick (minimum
-/// feasible color) is identical at every thread count.
+/// the pass always ends in a valid CF coloring.  Each pick scans the
+/// palette in ascending order.  The scheduler parameter is unused; it
+/// stays so existing callers compile.
 GreedyCfResult greedy_cf_coloring(
     const Hypergraph& h,
     runtime::Scheduler& sched = runtime::global_scheduler());

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
-#include "runtime/parallel.hpp"
 #include "util/check.hpp"
 
 namespace pslocal {
@@ -108,7 +107,7 @@ void ConflictRows::write_rows(std::size_t i, VertexId* out) const {
 }
 
 ConflictGraph::ConflictGraph(Hypergraph h, std::size_t k,
-                             runtime::Scheduler& sched)
+                             runtime::Scheduler&)
     : h_(std::move(h)), k_(k) {
   PSL_EXPECTS(k_ >= 1);
   // Triple ids are 32-bit, so no larger k fits a non-empty G_k; checking
@@ -138,29 +137,23 @@ ConflictGraph::ConflictGraph(Hypergraph h, std::size_t k,
   PSL_EXPECTS_MSG(n_triples < (std::uint64_t{1} << 32),
                   "conflict graph too large for 32-bit triple ids");
 
-  // CSR in two passes over hyperedges, row lengths then rows.  Each
-  // chunk writes only the rows of its own edges' triples.
+  // CSR in two passes over hyperedges, row lengths then rows.
+  ConflictRows rows(k_);
   std::vector<std::size_t> offsets(n_triples + 1, 0);
-  runtime::parallel_for(sched, {m, 0}, [&](std::size_t lo, std::size_t hi) {
-    ConflictRows rows(k_);
-    for (EdgeId e = lo; e < hi; ++e) {
-      rows.load(h_, edge_pair_offset_, e);
-      for (std::size_t i = 0; i < h_.edge_size(e); ++i)
-        std::fill_n(&offsets[(edge_pair_offset_[e] + i) * k_ + 1], k_,
-                    rows.row_size(i));
-    }
-  });
+  for (EdgeId e = 0; e < m; ++e) {
+    rows.load(h_, edge_pair_offset_, e);
+    for (std::size_t i = 0; i < h_.edge_size(e); ++i)
+      std::fill_n(&offsets[(edge_pair_offset_[e] + i) * k_ + 1], k_,
+                  rows.row_size(i));
+  }
   for (std::size_t t = 0; t < n_triples; ++t) offsets[t + 1] += offsets[t];
   std::vector<VertexId> neighbors(offsets.back());
-  runtime::parallel_for(sched, {m, 0}, [&](std::size_t lo, std::size_t hi) {
-    ConflictRows rows(k_);
-    for (EdgeId e = lo; e < hi; ++e) {
-      rows.load(h_, edge_pair_offset_, e);
-      for (std::size_t i = 0; i < h_.edge_size(e); ++i)
-        rows.write_rows(
-            i, neighbors.data() + offsets[(edge_pair_offset_[e] + i) * k_]);
-    }
-  });
+  for (EdgeId e = 0; e < m; ++e) {
+    rows.load(h_, edge_pair_offset_, e);
+    for (std::size_t i = 0; i < h_.edge_size(e); ++i)
+      rows.write_rows(
+          i, neighbors.data() + offsets[(edge_pair_offset_[e] + i) * k_]);
+  }
 
   cg_metrics().builds.add(1);
   cg_metrics().triples.add(n_triples);

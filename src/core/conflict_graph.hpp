@@ -131,10 +131,9 @@ class ConflictGraph {
   /// Build G_k for conflict-free k-coloring of h.  The hypergraph is
   /// copied so the conflict graph stays valid independently of h.
   /// PSL_EXPECTS 1 <= k < 2^32 and fewer than 2^32 triples.
-  /// The row-length and row-fill passes of ConflictRows fan out over
-  /// hyperedges on `sched`; every row depends on h alone, so the graph
-  /// is bit-identical at every thread count
-  /// (tests/test_parallel_determinism.cpp).
+  /// The row-length and row-fill passes of ConflictRows are plain loops
+  /// over hyperedges, so the graph is a function of (h, k) alone.  The
+  /// scheduler parameter is unused; it stays so existing callers compile.
   explicit ConflictGraph(Hypergraph h, std::size_t k,
                          runtime::Scheduler& sched =
                              runtime::global_scheduler());

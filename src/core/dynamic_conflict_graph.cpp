@@ -50,8 +50,8 @@ const DeltaMetrics& delta_metrics() {
 }  // namespace
 
 DynamicConflictGraph::DynamicConflictGraph(const Hypergraph& h, std::size_t k,
-                                           runtime::Scheduler& sched)
-    : DynamicConflictGraph(ConflictGraph(h, k, sched)) {}
+                                           runtime::Scheduler&)
+    : DynamicConflictGraph(ConflictGraph(h, k)) {}
 
 DynamicConflictGraph::DynamicConflictGraph(const ConflictGraph& cg) {
   const Hypergraph& h = cg.hypergraph();
@@ -354,7 +354,7 @@ std::uint64_t DynamicConflictGraph::content_hash() const {
   return hash.digest();
 }
 
-Graph DynamicConflictGraph::snapshot(runtime::Scheduler& /*sched*/) const {
+Graph DynamicConflictGraph::snapshot(runtime::Scheduler&) const {
   std::vector<std::size_t> offsets(adj_.size() + 1, 0);
   for (TripleId t = 0; t < adj_.size(); ++t)
     offsets[t + 1] = offsets[t] + adj_[t]->size();

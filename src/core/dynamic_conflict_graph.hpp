@@ -51,7 +51,8 @@ class DynamicConflictGraph {
 
   DynamicConflictGraph() = default;
 
-  /// Seed from a hypergraph (builds G_k once via ConflictGraph).
+  /// Seed from a hypergraph (builds G_k once via ConflictGraph).  The
+  /// scheduler parameter is unused; it stays so existing callers compile.
   explicit DynamicConflictGraph(const Hypergraph& h, std::size_t k,
                                 runtime::Scheduler& sched =
                                     runtime::global_scheduler());
@@ -110,8 +111,9 @@ class DynamicConflictGraph {
 
   /// Materialize the current G_k; must equal
   /// ConflictGraph(hypergraph(), k).graph() bit for bit.  The rows are
-  /// kept sorted, so this only concatenates them; `sched` is not used.
-  [[nodiscard]] Graph snapshot(runtime::Scheduler& sched =
+  /// kept sorted, so this only concatenates them.  The scheduler
+  /// parameter is unused; it stays so existing callers compile.
+  [[nodiscard]] Graph snapshot(runtime::Scheduler& =
                                    runtime::global_scheduler()) const;
 
   /// == hash_graph(snapshot()), streamed without materializing.

@@ -73,7 +73,7 @@ VirtualRunResult<State> run_local_on_hosts(const ConflictGraph& cg,
   VirtualRunResult<State> run;
   std::vector<std::size_t> host_bytes(cg.hypergraph().vertex_count());
   auto local = run_local(
-      gk, algo, seed, max_rounds, runtime::global_scheduler(),
+      gk, algo, seed, max_rounds,
       [&](std::span<const std::optional<Msg>> outbox) {
         std::fill(host_bytes.begin(), host_bytes.end(), 0);
         for (TripleId t = 0; t < outbox.size(); ++t)

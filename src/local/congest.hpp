@@ -38,7 +38,7 @@ CongestRunResult<State> run_congest(const Graph& g,
   CongestRunResult<State> out;
   out.bandwidth_bytes = bandwidth_bytes;
   out.local = run_local(
-      g, algo, seed, max_rounds, runtime::global_scheduler(),
+      g, algo, seed, max_rounds,
       [&](std::span<const std::optional<Msg>> outbox) {
         std::size_t max_bytes = 0;
         for (const auto& msg : outbox)

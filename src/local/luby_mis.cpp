@@ -6,11 +6,11 @@
 namespace pslocal {
 
 LubyResult luby_mis(const Graph& g, std::uint64_t seed,
-                    std::size_t max_rounds, runtime::Scheduler& sched) {
+                    std::size_t max_rounds, runtime::Scheduler&) {
   if (max_rounds == 0)
     max_rounds = detail::luby_default_round_cap(g.vertex_count());
   detail::LubyAlgorithm algo;
-  auto run = run_local(g, algo, seed, max_rounds, sched);
+  auto run = run_local(g, algo, seed, max_rounds);
 
   LubyResult res;
   res.rounds = run.rounds;

@@ -30,9 +30,9 @@ struct LubyResult {
 };
 
 /// Run Luby's algorithm; `max_rounds` caps the simulation (default scales
-/// as c*log2(n) iterations, far above the w.h.p. bound).  Round
-/// evaluation fans out on `sched`; for a fixed seed the result is
-/// bit-identical at every thread count (per-vertex RNG substreams).
+/// as c*log2(n) iterations, far above the w.h.p. bound).  A seed fixes
+/// the result (per-vertex RNG substreams).  The scheduler parameter is
+/// unused; it stays so existing callers compile.
 LubyResult luby_mis(const Graph& g, std::uint64_t seed,
                     std::size_t max_rounds = 0,
                     runtime::Scheduler& sched = runtime::global_scheduler());

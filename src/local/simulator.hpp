@@ -18,15 +18,14 @@
 // of its direct neighbors from this round only.  Per-node randomness comes
 // from independent substreams of one seed, so runs are reproducible.
 //
-// Rounds are evaluated in parallel on the given runtime::Scheduler: the
-// emit sweep and the step sweep are each data-parallel over vertices
-// (the synchronous-round semantics already forbids a vertex from
-// touching another vertex's state).  Because every vertex owns a
-// dedicated RNG substream, the simulation is bit-identical at every
-// thread count.  Algorithm implementations must keep emit/step/halted
-// free of shared mutable state outside the vertex's own State (all
-// in-tree algorithms are; per-vertex-slot members like Linial's round
-// table are fine).
+// Each round is two sweeps over the vertices on the calling thread: every
+// node emits from its pre-round state, then every node steps on its
+// neighbors' messages.  The model charges rounds, not host time, and each
+// vertex owns a dedicated RNG substream, so a seed fixes the whole run.
+// Algorithm implementations must keep emit/step/halted free of state
+// shared between vertices outside the vertex's own State, or a step could
+// see a neighbor's post-round state (all in-tree algorithms are;
+// per-vertex-slot members like Linial's round table are fine).
 //
 // This is the library's only round loop.  Models that bill the same
 // rounds differently pass a round observer: run_congest()
@@ -34,6 +33,7 @@
 // (core/virtual_local.hpp) charges bundled host messages.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -41,8 +41,6 @@
 
 #include "graph/graph.hpp"
 #include "obs/obs.hpp"
-#include "runtime/global.hpp"
-#include "runtime/parallel.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -113,17 +111,15 @@ struct NoRoundObserver {
 };
 
 /// Run the algorithm until every node halts or `max_rounds` is reached.
-/// The emit and step sweeps of each round fan out on `sched`.  After each
-/// round's emit sweep, `observe(outbox)` runs on the calling thread, where
-/// outbox is a std::span<const std::optional<Msg>> and outbox[v] is what
-/// v broadcasts this round.
+/// After each round's emit sweep, `observe(outbox)` runs, where outbox
+/// is a std::span<const std::optional<Msg>> and outbox[v] is what v
+/// broadcasts this round.
 template <typename State, typename Msg,
           typename RoundObserver = NoRoundObserver>
-LocalRunResult<State> run_local(
-    const Graph& g, BroadcastAlgorithm<State, Msg>& algo, std::uint64_t seed,
-    std::size_t max_rounds,
-    runtime::Scheduler& sched = runtime::global_scheduler(),
-    RoundObserver&& observe = {}) {
+LocalRunResult<State> run_local(const Graph& g,
+                                BroadcastAlgorithm<State, Msg>& algo,
+                                std::uint64_t seed, std::size_t max_rounds,
+                                RoundObserver&& observe = {}) {
   PSL_OBS_SPAN("local.run");
   const auto& obs_metrics = detail::LocalSimMetrics::get();
   obs_metrics.runs.add(1);
@@ -134,30 +130,20 @@ LocalRunResult<State> run_local(
   for (VertexId v = 0; v < n; ++v) node_rng.push_back(base.split(v));
 
   LocalRunResult<State> run;
-  // init stays sequential in vertex order: some algorithms size
-  // per-vertex tables here, and the order is part of the seeded contract.
+  // init runs in vertex order: some algorithms size per-vertex tables
+  // here, and the order is part of the seeded contract.
   run.states.reserve(n);
   for (VertexId v = 0; v < n; ++v)
     run.states.push_back(algo.init(v, g, node_rng[v]));
 
   auto all_halted = [&] {
-    return runtime::parallel_reduce<bool>(
-        sched, {n, 0}, true,
-        [&](std::size_t lo, std::size_t hi, std::size_t) {
-          for (VertexId v = lo; v < hi; ++v)
-            if (!algo.halted(v, run.states[v])) return false;
-          return true;
-        },
-        [](bool a, bool b) { return a && b; });
-  };
-
-  struct RoundAccounting {
-    std::size_t sent = 0;
-    std::size_t total_bytes = 0;
-    std::size_t max_bytes = 0;
+    for (VertexId v = 0; v < n; ++v)
+      if (!algo.halted(v, run.states[v])) return false;
+    return true;
   };
 
   std::vector<std::optional<Msg>> outbox(n);
+  std::vector<std::optional<Msg>> inbox;
   while (run.rounds < max_rounds) {
     if (all_halted()) {
       run.all_halted = true;
@@ -167,55 +153,37 @@ LocalRunResult<State> run_local(
     PSL_OBS_SPAN("local.round");
 
     // Synchronous round: everyone emits from the pre-round state...
-    RoundAccounting acct;
+    std::size_t sent = 0;
+    std::size_t total_bytes = 0;
     {
       PSL_OBS_SPAN("local.emit");
-      acct = runtime::parallel_reduce<RoundAccounting>(
-          sched, {n, 0}, RoundAccounting{},
-          [&](std::size_t lo, std::size_t hi, std::size_t) {
-            RoundAccounting a;
-            for (VertexId v = lo; v < hi; ++v) {
-              outbox[v] = algo.emit(v, run.states[v]);
-              if (outbox[v]) {
-                const std::size_t bytes = algo.message_size(*outbox[v]);
-                ++a.sent;
-                a.total_bytes += bytes;
-                a.max_bytes = std::max(a.max_bytes, bytes);
-              }
-            }
-            return a;
-          },
-          [](RoundAccounting a, RoundAccounting b) {
-            a.sent += b.sent;
-            a.total_bytes += b.total_bytes;
-            a.max_bytes = std::max(a.max_bytes, b.max_bytes);
-            return a;
-          });
+      for (VertexId v = 0; v < n; ++v) {
+        outbox[v] = algo.emit(v, run.states[v]);
+        if (!outbox[v]) continue;
+        const std::size_t bytes = algo.message_size(*outbox[v]);
+        ++sent;
+        total_bytes += bytes;
+        run.max_message_bytes = std::max(run.max_message_bytes, bytes);
+      }
     }
-    run.messages_sent += acct.sent;
-    run.total_message_bytes += acct.total_bytes;
-    run.max_message_bytes = std::max(run.max_message_bytes, acct.max_bytes);
+    run.messages_sent += sent;
+    run.total_message_bytes += total_bytes;
     observe(std::span<const std::optional<Msg>>(outbox));
 
     // ...then everyone steps on its neighbors' messages.
     {
       PSL_OBS_SPAN("local.step");
-      runtime::parallel_for(
-          sched, {n, 0}, [&](std::size_t lo, std::size_t hi) {
-            std::vector<std::optional<Msg>> inbox;  // per-chunk scratch
-            for (VertexId v = lo; v < hi; ++v) {
-              if (algo.halted(v, run.states[v])) continue;
-              const auto nb = g.neighbors(v);
-              inbox.assign(nb.size(), std::nullopt);
-              for (std::size_t i = 0; i < nb.size(); ++i)
-                inbox[i] = outbox[nb[i]];
-              algo.step(v, run.states[v], inbox, node_rng[v]);
-            }
-          });
+      for (VertexId v = 0; v < n; ++v) {
+        if (algo.halted(v, run.states[v])) continue;
+        const auto nb = g.neighbors(v);
+        inbox.assign(nb.size(), std::nullopt);
+        for (std::size_t i = 0; i < nb.size(); ++i) inbox[i] = outbox[nb[i]];
+        algo.step(v, run.states[v], inbox, node_rng[v]);
+      }
     }
     obs_metrics.rounds.add(1);
-    obs_metrics.messages.add(acct.sent);
-    obs_metrics.message_bytes.add(acct.total_bytes);
+    obs_metrics.messages.add(sent);
+    obs_metrics.message_bytes.add(total_bytes);
     ++run.rounds;
   }
   if (!run.all_halted) run.all_halted = all_halted();

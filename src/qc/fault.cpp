@@ -2,31 +2,14 @@
 
 #include <algorithm>
 #include <future>
-#include <numeric>
 #include <sstream>
 #include <thread>
 
+#include "runtime/scheduler.hpp"
 #include "service/engine.hpp"
 #include "util/check.hpp"
 
 namespace pslocal::qc {
-
-void ShuffledScheduler::run_chunks(
-    std::size_t n, std::size_t grain,
-    const std::function<void(runtime::ChunkRange)>& body) {
-  PSL_EXPECTS(grain > 0);
-  const std::size_t chunks = runtime::chunk_count(n, grain);
-  if (chunks == 0) return;
-  ++regions_;
-  std::vector<std::size_t> order(chunks);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  rng_.shuffle(order);
-  for (const std::size_t c : order) {
-    const std::size_t begin = c * grain;
-    const std::size_t end = std::min(n, begin + grain);
-    body(runtime::ChunkRange{begin, end, c});
-  }
-}
 
 FaultPlan arbitrary_fault_plan(Rng& rng) {
   FaultPlan plan;
@@ -36,20 +19,17 @@ FaultPlan arbitrary_fault_plan(Rng& rng) {
   plan.cache_entries = 1 + rng.next_below(4);
   plan.graph_cache_entries = rng.next_below(3);
   plan.disable_cache = rng.next_bool(0.25);
-  plan.shuffle_scheduler = rng.next_bool(0.75);
   return plan;
 }
 
 FaultReport run_fault_plan(const FaultPlan& plan,
                            const service::Trace& trace) {
   FaultReport report;
-  ShuffledScheduler shuffled(plan.seed);
   service::EngineConfig cfg;
   cfg.queue_capacity = plan.queue_capacity;
   cfg.cache.max_entries = plan.cache_entries;
   cfg.cache.enabled = !plan.disable_cache;
   cfg.graph_cache_entries = plan.graph_cache_entries;
-  if (plan.shuffle_scheduler) cfg.scheduler = &shuffled;
   service::ServiceEngine engine(cfg);
 
   const std::size_t total = trace.requests.size();
@@ -120,8 +100,7 @@ FaultReport run_fault_plan(const FaultPlan& plan,
   }
 
   // Differential verification: every response must be kOk with payload
-  // bytes identical to a direct solver call on a clean sequential
-  // scheduler — no cache, no batching, no shuffled schedule.
+  // bytes identical to a direct solver call — no cache, no lane.
   runtime::SequentialScheduler reference;
   for (std::size_t i = 0; i < total; ++i) {
     const service::Response resp = futures[i].get();

@@ -1,8 +1,9 @@
-// Fault injection for the serving and runtime layers.
+// Fault injection for the serving layer.
 //
 // The engine's contracts (service/engine.hpp) are strongest exactly where
 // faults hit: payload bytes must not depend on cache state, lane count
-// or schedule, and every accepted request is answered exactly once.  A FaultPlan stresses those contracts through the existing
+// or lane timing, and every accepted request is answered exactly once.
+// A FaultPlan stresses those contracts through the existing
 // configuration hooks — no test-only code paths in src/service/:
 //
 //  * queue-full bursts      — a tiny queue_capacity plus an admission
@@ -10,53 +11,25 @@
 //                             deterministic probe) forces kQueueFull;
 //  * cache evictions        — a 2-3 entry SolverCache (or cache off)
 //                             churns the LRU on every cycle;
-//  * schedule perturbation  — ShuffledScheduler executes each region's
-//                             chunks in a seeded random order, the
-//                             adversarial-but-legal schedule the runtime
-//                             determinism contract (runtime/scheduler.hpp
-//                             rule 2) must survive;
 //  * oracle degradation     — run_reduction requests already route
 //                             through seeded λ-oracles; the differential
 //                             layer (oracles.hpp) degrades them directly
 //                             via mis/degraded_oracle.
 //
+// The engine serves on the global pool's lanes, so a binary started
+// with --threads N (pslocal_fuzz) runs every plan on N lanes.
 // run_fault_plan serves a trace under the plan and differentially checks
-// every response against a direct solver call on a clean scheduler.
+// every response against a direct solver call.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "runtime/scheduler.hpp"
 #include "service/workload.hpp"
 #include "util/rng.hpp"
 
 namespace pslocal::qc {
-
-/// A Scheduler that runs every chunk exactly once on the calling thread,
-/// in a seeded shuffled order.  Legal under the runtime contract (chunk
-/// boundaries are unchanged; execution order is unspecified), so any
-/// result difference it provokes is a real determinism bug.  Not
-/// thread-safe: one thread may drive regions at a time (nested regions
-/// from inside a chunk body are fine).
-class ShuffledScheduler final : public runtime::Scheduler {
- public:
-  explicit ShuffledScheduler(std::uint64_t seed) : rng_(seed) {}
-
-  [[nodiscard]] std::size_t thread_count() const override { return 1; }
-
-  void run_chunks(std::size_t n, std::size_t grain,
-                  const std::function<void(runtime::ChunkRange)>& body)
-      override;
-
-  /// Regions executed so far (each draws a fresh permutation).
-  [[nodiscard]] std::uint64_t regions() const { return regions_; }
-
- private:
-  Rng rng_;
-  std::uint64_t regions_ = 0;
-};
 
 /// One seeded fault-injection scenario over a service trace.
 struct FaultPlan {
@@ -66,7 +39,6 @@ struct FaultPlan {
   std::size_t cache_entries = 2;    // tiny LRU: eviction churn
   std::size_t graph_cache_entries = 1;
   bool disable_cache = false;       // every lookup misses instead
-  bool shuffle_scheduler = true;    // perturb chunk execution order
 };
 
 /// Draw a random plan (all knobs jittered, seed from rng).

@@ -1,10 +1,9 @@
 // The process-global scheduler.
 //
-// Library entry points take `runtime::Scheduler& sched =
-// runtime::global_scheduler()`.  The global starts as a single-lane pool
-// (fully sequential — the pre-runtime behavior); binaries opt into
-// parallelism via `--threads N` (util/options) and a call to
-// set_global_thread_count at startup, before any parallel work.
+// A ServiceEngine without a configured scheduler serves on this pool,
+// one lane per pool lane.  The global starts as a single-lane pool;
+// binaries opt into more lanes via `--threads N` (util/options) and a
+// call to set_global_thread_count at startup, before any engine starts.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,9 @@
 // Scheduler: the execution-policy seam of the parallel runtime.
 //
-// Every parallel algorithm in the library is written against this
-// interface and takes a `runtime::Scheduler&` (defaulting to the global
-// pool, see runtime/global.hpp).  The determinism contract, relied on by
-// every seeded experiment E1–E10:
+// The solvers are sequential and open no region (docs/runtime.md).  A
+// ServiceEngine takes its lane count from a Scheduler and runs each
+// compute as a one-chunk region on it; perfbench runs task batches on
+// the global pool (runtime/global.hpp).  The determinism contract:
 //
 //   1. An index range [0, n) is cut into chunks whose boundaries depend
 //      ONLY on (n, grain) — never on the thread count or on timing.
@@ -16,7 +16,7 @@
 //
 // Under these rules the result of any runtime primitive is bit-identical
 // across thread counts and across repeated runs — see
-// tests/test_parallel_determinism.cpp and docs/runtime.md.
+// tests/test_thread_pool.cpp and docs/runtime.md.
 #pragma once
 
 #include <cstddef>

@@ -9,8 +9,7 @@ namespace pslocal::runtime {
 
 namespace {
 // Set while a thread is executing pool work (worker thread, or the caller
-// inside drain()) or holds an InlineRegionScope.  run_chunks sees it and
-// runs inline.
+// inside drain()).  run_chunks sees it and runs inline.
 thread_local bool tl_inside_pool = false;
 
 // Pool instrumentation (docs/observability.md, "runtime.*").  regions,
@@ -28,12 +27,6 @@ PoolMetrics& metrics() {
   return m;
 }
 }  // namespace
-
-InlineRegionScope::InlineRegionScope() : outer_(tl_inside_pool) {
-  tl_inside_pool = true;
-}
-
-InlineRegionScope::~InlineRegionScope() { tl_inside_pool = outer_; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {

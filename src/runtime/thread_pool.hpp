@@ -7,10 +7,10 @@
 //    pool of 1 lane is exactly the SequentialScheduler and spawns
 //    nothing.
 //  * Per parallel region, every lane claims the next chunk index from
-//    one shared atomic counter until none is left.  The library's
-//    regions have at most a few hundred chunks (default_grain caps a
-//    loop at 256; a task batch has one per task), so one claim per chunk
-//    is noise next to the chunk's work.
+//    one shared atomic counter until none is left.  A region has at most
+//    a few hundred chunks (default_grain caps a loop at 256; a task
+//    batch has one per task), so one claim per chunk is noise next to
+//    the chunk's work.
 //  * A worker joins a region only while it is open; the caller closes it
 //    once the counter runs dry and waits for the joined workers to
 //    leave.  A worker that wakes late skips the region, so the caller
@@ -24,9 +24,10 @@
 //    another chunk, and the exception is rethrown on the caller.  The
 //    pool stays usable afterwards.
 //  * Nested parallelism: run_chunks from inside a worker runs the inner
-//    region sequentially inline (no deadlock, no oversubscription).  A
-//    thread outside the pool opts into the same rule with an
-//    InlineRegionScope.
+//    region sequentially inline (no deadlock, no oversubscription).
+//  * A one-chunk region runs inline on the caller, before the submit
+//    lock, so callers on many threads (the serving engine's lanes, each
+//    running one compute as one region) never wait on each other here.
 #pragma once
 
 #include <atomic>
@@ -40,24 +41,6 @@
 #include "runtime/scheduler.hpp"
 
 namespace pslocal::runtime {
-
-/// While alive, every run_chunks this thread calls, on any ThreadPool,
-/// runs its region sequentially inline, exactly as a nested region does
-/// on a pool worker.  For threads that each run one whole task beside
-/// the pool (the serving engine's lanes): their solver regions neither
-/// queue on the pool's submit lock nor compete with its workers, and
-/// results stay bit-identical (inline is the 1-lane schedule).
-class InlineRegionScope {
- public:
-  InlineRegionScope();
-  ~InlineRegionScope();
-
-  InlineRegionScope(const InlineRegionScope&) = delete;
-  InlineRegionScope& operator=(const InlineRegionScope&) = delete;
-
- private:
-  bool outer_;  // the thread's previous setting, restored on exit
-};
 
 class ThreadPool final : public Scheduler {
  public:

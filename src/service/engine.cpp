@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "runtime/thread_pool.hpp"
 #include "service/stages.hpp"
 #include "util/hash.hpp"
 #include "util/timer.hpp"
@@ -184,9 +183,6 @@ struct ServiceEngine::Outcome {
 
 void ServiceEngine::lane_main(std::size_t lane) {
   obs::set_thread_label(config_.name + ".lane" + std::to_string(lane));
-  // The lane runs one whole request at a time; its solver's parallel
-  // regions run inline here, like a nested region on a pool worker.
-  const runtime::InlineRegionScope inline_regions;
   std::vector<Pending> popped;
   for (;;) {
     popped.clear();
@@ -263,8 +259,13 @@ void ServiceEngine::serve(Pending& pending) {
     PSL_OBS_SPAN("service.solve");
     const std::uint64_t t0 = now_ns();
     try {
-      outcome.payload = execute_request(req, *sched_, &graph_cache_,
-                                        &sessions_);
+      // The compute is one region of one chunk on the engine's
+      // scheduler: a pool runs it inline on this lane, and a test
+      // scheduler can hold it there.
+      sched_->run_chunks(1, 1, [&](runtime::ChunkRange) {
+        outcome.payload =
+            execute_request(req, *sched_, &graph_cache_, &sessions_);
+      });
     } catch (const std::exception& e) {
       outcome.error = e.what();
     }

@@ -18,9 +18,11 @@
 //                                          is ready
 //
 // N is the scheduler's thread_count(): one lane under the default 1-lane
-// global pool.  A lane runs its solver's parallel regions inline (as a
-// pool worker runs nested regions), so N lanes compute N distinct misses
-// at once and a hit never waits behind a miss on another lane.
+// global pool.  Lanes are the engine's only parallelism: the solvers are
+// sequential, and a lane runs each compute as a one-chunk region on the
+// scheduler, which a pool runs inline on the lane.  So N lanes compute N
+// distinct misses at once and a hit never waits behind a miss on another
+// lane.
 //
 // Contract highlights:
 //
@@ -84,8 +86,8 @@ struct EngineConfig {
   SolverCache::Config cache;   // result cache (enabled by default)
   std::size_t graph_cache_entries = 64;  // built G_k objects (0 = off)
   std::size_t mutation_sessions = 8;     // stored mutate states (0 = off)
-  /// Execution backend handed to the solvers, and the lane count
-  /// (its thread_count()); nullptr = the global pool.
+  /// The lane count (its thread_count()), and where each lane runs its
+  /// computes, one one-chunk region per miss; nullptr = the global pool.
   runtime::Scheduler* scheduler = nullptr;
   /// Identity in traces: lane i is labelled "<name>.lane<i>" (its
   /// Perfetto track name), so a multi-engine process — one engine per

@@ -48,10 +48,9 @@ void append_vertex_list(std::ostringstream& os, const char* field,
 /// The shared G_k of the MIS-family kinds, memoized when a graph cache
 /// is available (keyed by instance content and k).
 std::shared_ptr<const ConflictGraph> conflict_graph_for(
-    const Request& req, runtime::Scheduler& sched,
-    ConflictGraphCache* cache) {
-  const auto build = [&req, &sched] {
-    return std::make_shared<const ConflictGraph>(*req.instance, req.k, sched);
+    const Request& req, ConflictGraphCache* cache) {
+  const auto build = [&req] {
+    return std::make_shared<const ConflictGraph>(*req.instance, req.k);
   };
   if (cache == nullptr) return build();
   return cache->get_or_build(hash_combine(req.instance_hash, req.k), build);
@@ -64,9 +63,9 @@ std::ostringstream payload_head(const Request& req) {
   return os;
 }
 
-std::string execute_build(const Request& req, runtime::Scheduler& sched,
+std::string execute_build(const Request& req,
                           ConflictGraphCache* graph_cache) {
-  const auto cg_ptr = conflict_graph_for(req, sched, graph_cache);
+  const auto cg_ptr = conflict_graph_for(req, graph_cache);
   const ConflictGraph& cg = *cg_ptr;
   const auto classes = cg.count_edge_classes();
   auto os = payload_head(req);
@@ -77,11 +76,11 @@ std::string execute_build(const Request& req, runtime::Scheduler& sched,
   return os.str();
 }
 
-std::string execute_greedy(const Request& req, runtime::Scheduler& sched,
+std::string execute_greedy(const Request& req,
                            ConflictGraphCache* graph_cache) {
-  const auto cg_ptr = conflict_graph_for(req, sched, graph_cache);
+  const auto cg_ptr = conflict_graph_for(req, graph_cache);
   const ConflictGraph& cg = *cg_ptr;
-  const auto is = greedy_min_degree_maxis(cg.graph(), sched);
+  const auto is = greedy_min_degree_maxis(cg.graph());
   auto os = payload_head(req);
   os << ",\"k\":" << req.k << ",\"is_size\":" << is.size()
      << ",\"upper\":" << cg.independence_upper_bound() << ",\"independent\":"
@@ -91,11 +90,11 @@ std::string execute_greedy(const Request& req, runtime::Scheduler& sched,
   return os.str();
 }
 
-std::string execute_luby(const Request& req, runtime::Scheduler& sched,
+std::string execute_luby(const Request& req,
                          ConflictGraphCache* graph_cache) {
-  const auto cg_ptr = conflict_graph_for(req, sched, graph_cache);
+  const auto cg_ptr = conflict_graph_for(req, graph_cache);
   const ConflictGraph& cg = *cg_ptr;
-  const auto luby = luby_mis(cg.graph(), req.seed, 0, sched);
+  const auto luby = luby_mis(cg.graph(), req.seed);
   auto os = payload_head(req);
   os << ",\"k\":" << req.k << ",\"seed\":" << req.seed
      << ",\"is_size\":" << luby.independent_set.size()
@@ -106,8 +105,8 @@ std::string execute_luby(const Request& req, runtime::Scheduler& sched,
   return os.str();
 }
 
-std::string execute_cf_color(const Request& req, runtime::Scheduler& sched) {
-  const auto res = greedy_cf_coloring(*req.instance, sched);
+std::string execute_cf_color(const Request& req) {
+  const auto res = greedy_cf_coloring(*req.instance);
   auto os = payload_head(req);
   os << ",\"colors_used\":" << res.colors_used << ",\"conflict_free\":"
      << (is_conflict_free(*req.instance, res.coloring) ? "true" : "false")
@@ -118,7 +117,7 @@ std::string execute_cf_color(const Request& req, runtime::Scheduler& sched) {
   return os.str();
 }
 
-std::string execute_reduction(const Request& req, runtime::Scheduler&) {
+std::string execute_reduction(const Request& req) {
   std::unique_ptr<MaxISOracle> oracle;
   if (req.solver == "greedy-mindeg")
     oracle = std::make_unique<GreedyMinDegreeOracle>();
@@ -140,9 +139,8 @@ std::string execute_reduction(const Request& req, runtime::Scheduler&) {
 }
 
 std::string execute_exact_certificate(const Request& req,
-                                      runtime::Scheduler& sched,
                                       ConflictGraphCache* graph_cache) {
-  const auto cg_ptr = conflict_graph_for(req, sched, graph_cache);
+  const auto cg_ptr = conflict_graph_for(req, graph_cache);
   const ConflictGraph& cg = *cg_ptr;
   solver::SolverOptions options;
   options.seed = req.seed;
@@ -185,13 +183,12 @@ const MutateMetrics& mutate_metrics() {
 /// Initial MIS leg of a mutate session.  All three legs are maximal:
 /// greedy by construction, Luby on completion (max_rounds = 0 runs to
 /// quiescence), exact because a maximum IS is inclusion maximal.
-std::vector<VertexId> initial_mutate_mis(const Request& req, const Graph& g,
-                                         runtime::Scheduler& sched) {
+std::vector<VertexId> initial_mutate_mis(const Request& req, const Graph& g) {
   std::vector<VertexId> mis;
   if (req.solver == "greedy-mindeg") {
-    mis = greedy_min_degree_maxis(g, sched);
+    mis = greedy_min_degree_maxis(g);
   } else if (req.solver == "luby") {
-    mis = luby_mis(g, req.seed, 0, sched).independent_set;
+    mis = luby_mis(g, req.seed).independent_set;
   } else {
     solver::SolverOptions options;
     options.seed = req.seed;
@@ -202,7 +199,7 @@ std::vector<VertexId> initial_mutate_mis(const Request& req, const Graph& g,
   return mis;
 }
 
-std::string execute_mutate(const Request& req, runtime::Scheduler& sched,
+std::string execute_mutate(const Request& req,
                            MutationSessionStore* sessions) {
   PSL_OBS_SPAN("service.mutate");
   mutate_metrics().requests.add(1);
@@ -244,8 +241,8 @@ std::string execute_mutate(const Request& req, runtime::Scheduler& sched,
       state = *stored;
     }
   } else {
-    state.graph = DynamicConflictGraph(*req.instance, req.k, sched);
-    state.mis = initial_mutate_mis(req, state.graph.snapshot(sched), sched);
+    state.graph = DynamicConflictGraph(*req.instance, req.k);
+    state.mis = initial_mutate_mis(req, state.graph.snapshot());
     state.epoch = chain[0];
   }
 
@@ -376,22 +373,20 @@ std::uint64_t cache_key(const Request& req) {
   return key == 0 ? 1 : key;
 }
 
-std::string execute_request(const Request& req, runtime::Scheduler& sched,
+std::string execute_request(const Request& req, runtime::Scheduler&,
                             ConflictGraphCache* graph_cache,
                             MutationSessionStore* sessions) {
   PSL_CHECK_MSG(req.instance != nullptr, "service: request has no instance");
   switch (req.kind) {
     case RequestKind::kBuildConflictGraph:
-      return execute_build(req, sched, graph_cache);
-    case RequestKind::kGreedyMaxis:
-      return execute_greedy(req, sched, graph_cache);
-    case RequestKind::kLubyMis: return execute_luby(req, sched, graph_cache);
-    case RequestKind::kCfColor: return execute_cf_color(req, sched);
-    case RequestKind::kRunReduction: return execute_reduction(req, sched);
+      return execute_build(req, graph_cache);
+    case RequestKind::kGreedyMaxis: return execute_greedy(req, graph_cache);
+    case RequestKind::kLubyMis: return execute_luby(req, graph_cache);
+    case RequestKind::kCfColor: return execute_cf_color(req);
+    case RequestKind::kRunReduction: return execute_reduction(req);
     case RequestKind::kExactCertificate:
-      return execute_exact_certificate(req, sched, graph_cache);
-    case RequestKind::kMutateHypergraph:
-      return execute_mutate(req, sched, sessions);
+      return execute_exact_certificate(req, graph_cache);
+    case RequestKind::kMutateHypergraph: return execute_mutate(req, sessions);
   }
   PSL_CHECK_MSG(false, "service: invalid request kind");
   return {};

@@ -117,15 +117,16 @@ struct Response {
 class ConflictGraphCache;
 class MutationSessionStore;
 
-/// Execute one request synchronously on `sched` and return the canonical
-/// JSON payload.  Throws (ContractViolation) on malformed requests — the
-/// engine converts that into Status::kError.  This is the single point
-/// where requests meet the library's solvers; the engine adds queueing,
-/// serving lanes and caching around it.  When `graph_cache` is non-null,
-/// the MIS-family kinds share built conflict graphs through it; when
-/// `sessions` is non-null, mutate_hypergraph requests resume from stored
-/// epoch prefixes through it.  Both are pure accelerations: the payload
-/// is identical with or without them.
+/// Execute one request synchronously on the calling thread and return the
+/// canonical JSON payload.  Throws (ContractViolation) on malformed
+/// requests — the engine converts that into Status::kError.  This is the
+/// single point where requests meet the library's solvers; the engine
+/// adds queueing, serving lanes and caching around it.  When
+/// `graph_cache` is non-null, the MIS-family kinds share built conflict
+/// graphs through it; when `sessions` is non-null, mutate_hypergraph
+/// requests resume from stored epoch prefixes through it.  Both are pure
+/// accelerations: the payload is identical with or without them.  The
+/// scheduler parameter is unused; it stays so existing callers compile.
 [[nodiscard]] std::string execute_request(
     const Request& req, runtime::Scheduler& sched,
     ConflictGraphCache* graph_cache = nullptr,

@@ -12,10 +12,11 @@
 namespace pslocal::runtime {
 
 /// Runs every region inline, like SequentialScheduler, but holds each
-/// region at a gate while closed: a miss that reaches its first parallel
-/// region stalls there until open(), so "a lane is computing" becomes a
-/// state a test can hold.  Reports `lanes` as its thread count, which is
-/// the number of serving lanes an engine on it runs.
+/// region at a gate while closed.  An engine runs a miss's compute as
+/// one region on its scheduler, so the compute stalls at the gate until
+/// open(), and "a lane is computing" becomes a state a test can hold.
+/// Reports `lanes` as its thread count, which is the number of serving
+/// lanes an engine on it runs.
 class GateScheduler final : public Scheduler {
  public:
   explicit GateScheduler(std::size_t lanes) : lanes_(lanes) {}

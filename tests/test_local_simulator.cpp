@@ -7,7 +7,6 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace pslocal {
 namespace {
@@ -131,13 +130,12 @@ TEST(LocalSimulatorTest, RoundObserverSeesEveryRoundsBroadcasts) {
   // On a path from node 0, round r's broadcasters are nodes 0..r-1, so
   // r rounds send r(r+1)/2 messages and the largest is r bytes.
   const Graph g = path(30);
-  runtime::ThreadPool pool(2);
   for (const std::size_t cap : {100u, 6u}) {  // halts after 10; cut at 6
     SizedFlood algo(/*stop_after=*/10);
     const auto caller = std::this_thread::get_id();
     std::size_t rounds = 0, messages = 0, max_bytes = 0;
     const auto run = run_local(
-        g, algo, 1, cap, pool,
+        g, algo, 1, cap,
         [&](std::span<const std::optional<VertexId>> outbox) {
           EXPECT_EQ(std::this_thread::get_id(), caller);
           ASSERT_EQ(outbox.size(), g.vertex_count());

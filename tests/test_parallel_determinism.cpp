@@ -1,17 +1,21 @@
-// End-to-end determinism of the parallelized library hot paths: for a
-// fixed seed, every wired algorithm must produce byte-identical output
-// at 1, 2 and 8 threads, and across repeated runs on the same pool
-// (scheduling is timing-dependent; results must not be).  This is the
-// executable form of the contract in runtime/scheduler.hpp.
+// The solvers that take a scheduler are sequential: for a fixed seed,
+// each must produce byte-identical output on pools of 1, 2 and 8 lanes,
+// and across repeated runs on the same pool, and none of them may open
+// a region on the pool it is handed.  Serving lanes are the only
+// parallelism (docs/runtime.md).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "coloring/cf_baselines.hpp"
 #include "core/conflict_graph.hpp"
+#include "core/dynamic_conflict_graph.hpp"
 #include "hypergraph/generators.hpp"
+#include "local/congest.hpp"
+#include "local/luby_algorithm.hpp"
 #include "local/luby_mis.hpp"
 #include "mis/greedy_maxis.hpp"
+#include "obs/obs.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace pslocal {
@@ -87,9 +91,38 @@ TEST_F(ParallelDeterminismTest, GreedyCfColoringIdenticalAcrossThreads) {
   }
 }
 
+#if PSLOCAL_OBS_ENABLED
+
+TEST_F(ParallelDeterminismTest, NoSolverOpensAPoolRegion) {
+  // The pool counts every region it is asked to run, even one it runs
+  // inline, so an unchanged count means no solver called run_chunks.
+  runtime::ThreadPool pool(4);
+  const auto regions = [] {
+    return obs::snapshot().counter("runtime.regions");
+  };
+  const std::uint64_t before = regions();
+  const ConflictGraph cg(h_, 4, pool);
+  const DynamicConflictGraph dynamic(h_, 4, pool);
+  const Graph snapshot = dynamic.snapshot(pool);
+  EXPECT_EQ(snapshot, cg.graph());
+  const auto luby = luby_mis(cg.graph(), 7, 0, pool);
+  EXPECT_TRUE(luby.completed);
+  detail::LubyAlgorithm algo;
+  const auto congest = run_congest(
+      cg.graph(), algo, 7,
+      detail::luby_default_round_cap(cg.graph().vertex_count()),
+      /*bandwidth_bytes=*/4);
+  EXPECT_TRUE(congest.local.all_halted);
+  EXPECT_FALSE(greedy_min_degree_maxis(cg.graph(), pool).empty());
+  EXPECT_GT(greedy_cf_coloring(h_, pool).colors_used, 0u);
+  EXPECT_EQ(regions(), before);
+}
+
+#endif  // PSLOCAL_OBS_ENABLED
+
 TEST_F(ParallelDeterminismTest, DifferentSeedsStillDiffer) {
-  // Guard against a "deterministic because constant" bug: the parallel
-  // Luby must still respond to the seed.
+  // Guard against a "deterministic because constant" bug: Luby must
+  // still respond to the seed.
   runtime::ThreadPool pool(4);
   const ConflictGraph cg(h_, 4, pool);
   const auto a = luby_mis(cg.graph(), 1, 0, pool);

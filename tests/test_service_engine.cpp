@@ -12,6 +12,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -696,6 +697,62 @@ TEST(ServiceEngineTest, HitIsServedWhenTheQueueIsFull) {
   const auto stats = engine.stats();
   EXPECT_EQ(stats.rejected_full, 1u);
   EXPECT_EQ(stats.served, 4u);
+}
+
+/// Submit the whole trace at once, twice, and check every response's
+/// stage brackets.  A miss that computed spent compute_ns > 0 after its
+/// queue wait and inside its total; a parked or cached answer computed
+/// nothing; a hit answered on the submitting thread never queued.  The
+/// first pass computes each key once; the second is all such hits.
+void check_stage_brackets(const EngineConfig& cfg) {
+  const Trace trace = generate_trace(small_trace_params());
+  std::set<std::uint64_t> keys;
+  for (const Request& req : trace.requests) keys.insert(cache_key(req));
+  ASSERT_LT(keys.size(), trace.requests.size());  // the trace repeats keys
+  ServiceEngine engine(cfg);
+  engine.start();
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<std::future<Answered>> answers;
+    for (const Request& req : trace.requests) {
+      auto promise = std::make_shared<std::promise<Answered>>();
+      answers.push_back(promise->get_future());
+      ASSERT_EQ(engine.submit(req, answer_into(promise)).admission,
+                Admission::kAccepted);
+    }
+    std::size_t computed = 0;
+    std::size_t at_submit = 0;
+    for (auto& answer : answers) {
+      const Answered a = answer.get();
+      const Response& resp = a.resp;
+      ASSERT_EQ(resp.status, Response::Status::kOk) << resp.reason;
+      if (resp.cache_hit) {
+        EXPECT_EQ(resp.compute_ns, 0u) << "id " << resp.id;
+      } else {
+        ++computed;
+        EXPECT_GT(resp.compute_ns, 0u) << "id " << resp.id;
+      }
+      EXPECT_LE(resp.queue_ns + resp.compute_ns, resp.total_ns)
+          << "id " << resp.id;
+      if (a.thread == std::this_thread::get_id()) {
+        ++at_submit;
+        EXPECT_TRUE(resp.cache_hit) << "id " << resp.id;
+        EXPECT_EQ(resp.queue_ns, 0u) << "id " << resp.id;
+      }
+    }
+    EXPECT_EQ(computed, pass == 0 ? keys.size() : 0u) << "pass " << pass;
+    if (pass == 1) {
+      EXPECT_EQ(at_submit, trace.requests.size());
+    }
+  }
+}
+
+TEST(ServiceEngineTest, StageBracketsHoldOnEveryResponse) {
+  check_stage_brackets(EngineConfig{});
+}
+
+TEST(ServiceEngineMultiLaneTest, StageBracketsHoldOnEveryResponse) {
+  runtime::ThreadPool pool(4);
+  check_stage_brackets(on_scheduler(pool));
 }
 
 }  // namespace

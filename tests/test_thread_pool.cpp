@@ -1,8 +1,8 @@
 // Tests for the thread pool itself (src/runtime/): completion, exception
-// propagation, nested regions, skewed load, workers that wake after their
-// region closed, and the parallel primitives built on top of run_chunks.
-// Determinism of the *library* hot paths wired onto the pool is covered
-// separately in test_parallel_determinism.cpp.
+// propagation, nested and one-chunk regions, skewed load, workers that
+// wake after their region closed, and the parallel primitives built on
+// top of run_chunks.  That the solvers open no region on the pool is
+// covered separately in test_parallel_determinism.cpp.
 #include "runtime/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -131,27 +131,24 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, InlineRegionScopeKeepsRegionsOnTheCallingThread) {
-  // A thread outside the pool that holds the scope runs every region
-  // inline, as a worker runs nested regions; leaving the scope (even an
-  // inner one) restores the setting it found.
+TEST(ThreadPool, OneChunkRegionRunsOnTheCallingThread) {
+  // The serving engine runs each compute as a one-chunk region on its
+  // lane.  On a multi-lane pool with idle workers, every such region
+  // must still run on the thread that called run_chunks.
   ThreadPool pool(4);
   const auto caller = std::this_thread::get_id();
-  std::atomic<int> elsewhere{0};
-  const auto count_elsewhere = [&](ChunkRange) {
-    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  };
-  {
-    const InlineRegionScope outer;
-    { const InlineRegionScope inner; }
-    pool.run_chunks(64, 1, count_elsewhere);
-  }
-  EXPECT_EQ(elsewhere.load(), 0);
-  // Without the scope the region fans out again and still completes.
   std::atomic<int> ran{0};
-  pool.run_chunks(64, 1, [&](ChunkRange) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 64);
+  std::atomic<int> elsewhere{0};
+  for (int i = 0; i < 1000; ++i) {
+    pool.run_chunks(1, 1, [&](ChunkRange r) {
+      EXPECT_EQ(r.begin, 0u);
+      EXPECT_EQ(r.end, 1u);
+      ran.fetch_add(1);
+      if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(ran.load(), 1000);
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
 TEST(ThreadPool, CompletesUnderSkewedLoad) {
