@@ -146,7 +146,7 @@ class Registry {
   }
 
   // Fold an exiting thread's block into the retired totals, so counts
-  // survive worker-pool resizes and thread churn.
+  // survive thread churn (an engine's lanes exit at stop()).
   void retire(ThreadBlock* block) {
     std::lock_guard<std::mutex> lk(mu_);
     merge_block(*block, retired_);

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <thread>
 
-#include "runtime/scheduler.hpp"
+#include "runtime/thread_pool.hpp"
 #include "service/engine.hpp"
 #include "util/check.hpp"
 
@@ -13,7 +13,9 @@ namespace pslocal::qc {
 
 FaultPlan arbitrary_fault_plan(Rng& rng) {
   FaultPlan plan;
-  plan.seed = rng.next_u64();
+  // The first draw is discarded.  It keeps every later draw in place,
+  // and so every plan (and fuzz input) a given seed has always reached.
+  (void)rng.next_u64();
   plan.queue_capacity = 2 + rng.next_below(6);
   plan.burst = plan.queue_capacity + rng.next_below(10);
   plan.cache_entries = 1 + rng.next_below(4);
@@ -101,7 +103,7 @@ FaultReport run_fault_plan(const FaultPlan& plan,
 
   // Differential verification: every response must be kOk with payload
   // bytes identical to a direct solver call — no cache, no lane.
-  runtime::SequentialScheduler reference;
+  runtime::ThreadPool reference(1);
   for (std::size_t i = 0; i < total; ++i) {
     const service::Response resp = futures[i].get();
     if (resp.status != service::Response::Status::kOk) {

@@ -33,7 +33,6 @@ namespace pslocal::qc {
 
 /// One seeded fault-injection scenario over a service trace.
 struct FaultPlan {
-  std::uint64_t seed = 1;
   std::size_t queue_capacity = 4;   // tiny: admission control under stress
   std::size_t burst = 12;           // submissions probed before start()
   std::size_t cache_entries = 2;    // tiny LRU: eviction churn
@@ -41,7 +40,7 @@ struct FaultPlan {
   bool disable_cache = false;       // every lookup misses instead
 };
 
-/// Draw a random plan (all knobs jittered, seed from rng).
+/// Draw a random plan (all knobs jittered).
 [[nodiscard]] FaultPlan arbitrary_fault_plan(Rng& rng);
 
 /// Outcome of serving a trace under a plan.  `error` is empty when every

@@ -42,6 +42,7 @@ std::string describe_requests(const service::TraceParams& params,
   std::ostringstream os;
   os << "trace seed=" << params.seed << " plan{queue=" << plan.queue_capacity
      << " burst=" << plan.burst << " cache=" << plan.cache_entries
+     << " graph_cache=" << plan.graph_cache_entries
      << (plan.disable_cache ? " cache-off" : "") << "} requests=[";
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (i > 0) os << " ";

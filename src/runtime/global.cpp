@@ -1,35 +1,25 @@
 #include "runtime/global.hpp"
 
-#include <memory>
-#include <thread>
-
 #include "runtime/thread_pool.hpp"
 
 namespace pslocal::runtime {
 
 namespace {
-std::unique_ptr<ThreadPool>& global_pool() {
-  // Default to one lane, not hardware_concurrency: a library must not
-  // spawn threads unless the binary asked for them (--threads).
-  static std::unique_ptr<ThreadPool> pool =
-      std::make_unique<ThreadPool>(1);
+ThreadPool& global_pool() {
+  // One lane, not hardware_concurrency: an engine on the global pool
+  // starts one serving thread per lane, and a library must not start
+  // threads unless the binary asked for them (--threads).
+  static ThreadPool pool(1);
   return pool;
 }
 }  // namespace
 
-Scheduler& global_scheduler() { return *global_pool(); }
+Scheduler& global_scheduler() { return global_pool(); }
 
 void set_global_thread_count(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  if (global_pool()->thread_count() == threads) return;
-  global_pool() = std::make_unique<ThreadPool>(threads);
+  global_pool() = ThreadPool(threads);
 }
 
-std::size_t global_thread_count() {
-  return global_pool()->thread_count();
-}
+std::size_t global_thread_count() { return global_pool().thread_count(); }
 
 }  // namespace pslocal::runtime

@@ -73,9 +73,11 @@ void append_obs_section(std::ostringstream& os) {
 }  // namespace
 
 void apply_thread_option(const Options& opts) {
-  if (opts.has("threads"))
-    runtime::set_global_thread_count(
-        static_cast<std::size_t>(opts.get_int("threads", 0)));
+  if (opts.has("threads")) {
+    const long threads = opts.get_int("threads", 0);
+    PSL_EXPECTS_MSG(threads >= 0, "--threads must be >= 0, got " << threads);
+    runtime::set_global_thread_count(static_cast<std::size_t>(threads));
+  }
   const std::string trace = opts.trace_out();
   if (!trace.empty()) obs::start_tracing(trace);
 }
@@ -84,7 +86,7 @@ BenchReport::BenchReport(std::string name, const Options& opts)
     : name_(std::move(name)), json_out_(opts.json_out()) {
   for (const auto& [key, value] : opts.values())
     options_.emplace_back(key, cell_to_json(value));
-  // Record the *effective* worker count, so a run without --threads is
+  // Record the *effective* lane count, so a run without --threads is
   // still fully described by its JSON.
   if (!opts.has("threads"))
     options_.emplace_back(

@@ -13,7 +13,7 @@
 //       { "caption": "...", "columns": [...], "rows": [[...], ...] }
 //     ],
 //     "obs": {                       // obs snapshot taken at write time
-//       "counters": { "runtime.chunks": 12, ... },
+//       "counters": { "local.rounds": 12, ... },
 //       "gauges": { ... },
 //       "histograms": { "slocal.locality": { "count": ..., "sum": ...,
 //         "min": ..., "max": ..., "buckets": [[le, count], ...] } }
@@ -39,11 +39,12 @@
 namespace pslocal {
 
 /// Apply the runtime-affecting CLI options to the process: --threads=N
-/// resizes the global scheduler (0 = hardware_concurrency) and
+/// sets the global scheduler's lane count (0 = hardware_concurrency; a
+/// negative N violates the contract) and
 /// --trace-out=<path> starts an obs trace session whose Chrome trace
 /// JSON is written by BenchReport::write() (or obs::finish_tracing()).
 /// Call once at the top of main, before any timed work.  Without the
-/// flags the global pool stays sequential and no trace is recorded.
+/// flags the global pool keeps one lane and no trace is recorded.
 void apply_thread_option(const Options& opts);
 
 class BenchReport {

@@ -55,9 +55,9 @@ class Rng {
   /// Unlike split(), which funnels the child through a single 64-bit
   /// reseed, fork() fills the child's entire 256-bit state from a
   /// per-stream SplitMix64 sequence, the splittable-PRNG construction of
-  /// Steele, Lea & Flood (OOPSLA 2014).  This is the API the parallel
-  /// runtime uses for per-chunk streams (runtime/parallel.hpp); the
-  /// non-correlation smoke test lives in test_rng.cpp.
+  /// Steele, Lea & Flood (OOPSLA 2014).  The service workload generator
+  /// forks its instance and request streams with it (service/workload);
+  /// the non-correlation smoke test lives in test_rng.cpp.
   [[nodiscard]] Rng fork(std::uint64_t stream) const {
     SplitMix64 sm(s_[0] ^ rotl(s_[1], 13) ^ rotl(s_[2], 29) ^
                   (0x9e3779b97f4a7c15ULL * (stream + 1)));

@@ -7,11 +7,11 @@
 #include <functional>
 #include <mutex>
 
-#include "runtime/scheduler.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace pslocal::runtime {
 
-/// Runs every region inline, like SequentialScheduler, but holds each
+/// Runs every region inline, like ThreadPool, but holds each
 /// region at a gate while closed.  An engine runs a miss's compute as
 /// one region on its scheduler, so the compute stalls at the gate until
 /// open(), and "a lane is computing" becomes a state a test can hold.
@@ -32,7 +32,7 @@ class GateScheduler final : public Scheduler {
       cv_.wait(lock, [this] { return open_; });
       --held_;
     }
-    SequentialScheduler().run_chunks(n, grain, body);
+    ThreadPool(1).run_chunks(n, grain, body);
   }
 
   void close() {

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "obs/obs.hpp"
+#include "runtime/global.hpp"
+#include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -88,6 +90,15 @@ TEST(BenchReportTest, RecordsOptionsVerbatimPlusEffectiveThreads) {
   // --threads was absent, so the effective pool size is recorded.
   EXPECT_TRUE(options.at("threads").is_number());
   EXPECT_EQ(report.write(), "");  // --json-out=none suppresses the file
+}
+
+TEST(BenchReportTest, NegativeThreadsViolatesContract) {
+  // A negative count must not wrap to SIZE_MAX lanes.  -1 is the only
+  // value tried: the check fires before the global pool is touched.
+  const std::size_t lanes = runtime::global_thread_count();
+  EXPECT_THROW(apply_thread_option(make_options({"--threads=-1"})),
+               ContractViolation);
+  EXPECT_EQ(runtime::global_thread_count(), lanes);
 }
 
 TEST(BenchReportTest, EmitsObsSection) {

@@ -2,7 +2,7 @@
 //
 // The trace test is the in-tree equivalent of the acceptance check
 // `bench_local_simulation --trace-out=trace.json`: it records a session
-// across pool worker threads, then parses the file with util/json and
+// across several threads, then parses the file with util/json and
 // validates the Chrome trace-event invariants — a well-formed JSON
 // array, monotone `ts` within each `tid`, and balanced B/E pairs.
 #include "obs/obs.hpp"
@@ -10,14 +10,13 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
 #include "local/luby_mis.hpp"
-#include "runtime/parallel.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -26,12 +25,22 @@ namespace {
 
 #if PSLOCAL_OBS_ENABLED
 
+// Runs body(i) for every i in [0, n) on `threads` threads, thread t
+// taking every threads-th index from t, and joins them.
+template <typename Body>
+void on_threads(std::size_t threads, std::size_t n, const Body& body) {
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < threads; ++t)
+    workers.emplace_back([&body, t, threads, n] {
+      for (std::size_t i = t; i < n; i += threads) body(i);
+    });
+  for (auto& w : workers) w.join();
+}
+
 TEST(ObsMetricsTest, CounterAggregatesAcrossPoolThreads) {
   obs::Counter c("obs_test.counter_agg");
   const std::uint64_t before = obs::snapshot().counter("obs_test.counter_agg");
-  runtime::ThreadPool pool(4);
-  runtime::parallel_for_each_index(pool, {10000, 16},
-                                   [&](std::size_t) { c.add(1); });
+  on_threads(4, 10000, [&](std::size_t) { c.add(1); });
   EXPECT_EQ(obs::snapshot().counter("obs_test.counter_agg") - before, 10000u);
 }
 
@@ -168,13 +177,10 @@ TEST(ObsMetricsTest, ExemplarsKeepNewestPerBucket) {
 
 TEST(ObsMetricsTest, ExemplarMergeKeepsNewestAcrossThreads) {
   obs::Histogram h("obs_test.exemplars_mt");
-  runtime::ThreadPool pool(4);
-  // 64 exemplar-carrying records into one bucket from whichever lanes
-  // run them; the snapshot's max-K-by-recency merge must surface
-  // exactly kExemplarSlots of the recorded ids, newest first.
-  runtime::parallel_for_each_index(pool, {64, 1}, [&](std::size_t i) {
-    h.record(10, 0x1000 + i);
-  });
+  // 64 exemplar-carrying records into one bucket from four threads; the
+  // snapshot's max-K-by-recency merge must surface exactly
+  // kExemplarSlots of the recorded ids, newest first.
+  on_threads(4, 64, [&](std::size_t i) { h.record(10, 0x1000 + i); });
   const auto snap = obs::snapshot().histogram("obs_test.exemplars_mt");
   EXPECT_EQ(snap.count, 64u);
   const auto& slots = snap.exemplars[4];
@@ -227,8 +233,7 @@ TEST(ObsMetricsTest, SnapshotJsonByteDeterministicAcrossThreadCounts) {
   // never leak into the scraped payload.
   const auto run = [](const char* name, std::size_t threads) {
     obs::Histogram h(name);
-    runtime::ThreadPool pool(threads);
-    runtime::parallel_for_each_index(pool, {64, 1}, [&](std::size_t i) {
+    on_threads(threads, 64, [&](std::size_t i) {
       // Exactly one record carries an exemplar so the newest-K merge
       // has a schedule-independent answer.
       h.record(i + 1, i == 41 ? 0x41u : 0u);
@@ -244,10 +249,8 @@ TEST(ObsMetricsTest, SnapshotJsonByteDeterministicAcrossThreadCounts) {
 
 TEST(ObsMetricsTest, HistogramMergesMinMaxAcrossThreads) {
   obs::Histogram h("obs_test.hist_threads");
-  runtime::ThreadPool pool(4);
-  // Values 1..64, one per chunk, recorded on whichever lane runs it.
-  runtime::parallel_for_each_index(
-      pool, {64, 1}, [&](std::size_t i) { h.record(i + 1); });
+  // Values 1..64, spread over four threads.
+  on_threads(4, 64, [&](std::size_t i) { h.record(i + 1); });
   const auto snap = obs::snapshot().histogram("obs_test.hist_threads");
   EXPECT_EQ(snap.count, 64u);
   EXPECT_EQ(snap.sum, 64u * 65u / 2u);
@@ -282,16 +285,12 @@ TEST_F(ObsTraceTest, EmitsValidBalancedMonotoneChromeTrace) {
     {
       PSL_OBS_SPAN("inner");
     }
-    // Spans on pool workers land in per-thread buffers.
-    runtime::ThreadPool pool(4);
-    runtime::parallel_for(pool, {256, 4},
-                          [&](std::size_t, std::size_t) {
-                            PSL_OBS_SPAN("chunk");
-                          });
+    // Spans on other threads land in per-thread buffers.
+    on_threads(4, 64, [](std::size_t) { PSL_OBS_SPAN("chunk"); });
     // Real workload: a traced Luby-MIS run (local.round/emit/step spans).
     Rng rng(7);
     const Graph g = gnp(200, 0.05, rng);
-    (void)luby_mis(g, 7, /*max_rounds=*/0, pool);
+    (void)luby_mis(g, 7, /*max_rounds=*/0);
   }
   ASSERT_EQ(obs::finish_tracing(), path);
   EXPECT_FALSE(obs::tracing_active());
@@ -331,6 +330,7 @@ TEST_F(ObsTraceTest, EmitsValidBalancedMonotoneChromeTrace) {
     if (name.rfind("local.", 0) == 0) saw_local_span = true;
   }
   for (const auto& [tid, stack] : stacks) EXPECT_TRUE(stack.empty());
+  EXPECT_EQ(stacks.size(), 5u);  // this thread and the four others
   EXPECT_TRUE(saw_local_span);
   std::remove(path.c_str());
 }

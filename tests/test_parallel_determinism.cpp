@@ -5,6 +5,7 @@
 // parallelism (docs/runtime.md).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "coloring/cf_baselines.hpp"
@@ -15,7 +16,6 @@
 #include "local/luby_algorithm.hpp"
 #include "local/luby_mis.hpp"
 #include "mis/greedy_maxis.hpp"
-#include "obs/obs.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace pslocal {
@@ -91,16 +91,24 @@ TEST_F(ParallelDeterminismTest, GreedyCfColoringIdenticalAcrossThreads) {
   }
 }
 
-#if PSLOCAL_OBS_ENABLED
+// Reports four lanes, so a solver that split work by lane count would
+// try, and counts every region it is asked to run.
+class RegionCountingScheduler final : public runtime::Scheduler {
+ public:
+  [[nodiscard]] std::size_t thread_count() const override { return 4; }
+
+  void run_chunks(std::size_t n, std::size_t grain,
+                  const std::function<void(runtime::ChunkRange)>& body)
+      override {
+    ++regions;
+    runtime::ThreadPool(1).run_chunks(n, grain, body);
+  }
+
+  std::size_t regions = 0;
+};
 
 TEST_F(ParallelDeterminismTest, NoSolverOpensAPoolRegion) {
-  // The pool counts every region it is asked to run, even one it runs
-  // inline, so an unchanged count means no solver called run_chunks.
-  runtime::ThreadPool pool(4);
-  const auto regions = [] {
-    return obs::snapshot().counter("runtime.regions");
-  };
-  const std::uint64_t before = regions();
+  RegionCountingScheduler pool;
   const ConflictGraph cg(h_, 4, pool);
   const DynamicConflictGraph dynamic(h_, 4, pool);
   const Graph snapshot = dynamic.snapshot(pool);
@@ -115,10 +123,8 @@ TEST_F(ParallelDeterminismTest, NoSolverOpensAPoolRegion) {
   EXPECT_TRUE(congest.local.all_halted);
   EXPECT_FALSE(greedy_min_degree_maxis(cg.graph(), pool).empty());
   EXPECT_GT(greedy_cf_coloring(h_, pool).colors_used, 0u);
-  EXPECT_EQ(regions(), before);
+  EXPECT_EQ(pool.regions, 0u);
 }
-
-#endif  // PSLOCAL_OBS_ENABLED
 
 TEST_F(ParallelDeterminismTest, DifferentSeedsStillDiffer) {
   // Guard against a "deterministic because constant" bug: Luby must

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "qc/fault.hpp"
-#include "runtime/scheduler.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/engine.hpp"
 #include "service/session.hpp"
@@ -76,7 +75,7 @@ TEST(ServiceMutateTest, PayloadMatchesBareExecution) {
   for (const char* solver : {"greedy-mindeg", "luby", "dpll"}) {
     const Request req = mutate_request(base_instance(), sample_script(),
                                        solver);
-    runtime::SequentialScheduler seq;
+    runtime::ThreadPool seq(1);
     const std::string bare = execute_request(req, seq);
 
     ServiceEngine engine{EngineConfig{}};
@@ -175,7 +174,7 @@ TEST(ServiceMutateTest, QueueFullMidScriptLeavesStateUntouched) {
 
   // Replay bytes after the NACK: a fresh engine serving the full stream
   // matches the bare per-request execution byte for byte.
-  runtime::SequentialScheduler seq;
+  runtime::ThreadPool seq(1);
   ServiceEngine fresh{EngineConfig{}};
   fresh.start();
   for (const auto& req : stream) {
@@ -194,7 +193,6 @@ TEST(ServiceMutateTest, EvictionChurnKeepsBytesIdentical) {
   const Trace trace = generate_trace(mutate_trace_params());
   for (std::size_t entries = 1; entries <= 3; ++entries) {
     qc::FaultPlan plan;
-    plan.seed = 5 + entries;
     plan.cache_entries = entries;
     plan.graph_cache_entries = 1;
     const qc::FaultReport report = qc::run_fault_plan(plan, trace);
