@@ -47,23 +47,27 @@ class ByteReader {
 
   bool read_u64(std::uint64_t& v) {
     if (remaining() < 8) return ok_ = false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(bytes_[pos_ + static_cast<std::size_t>(i)]))
-           << (8 * i);
+    v = load_le64(bytes_.data() + pos_);
     pos_ += 8;
     return true;
   }
 
-  /// Length-prefixed string whose length must fit in the remaining
-  /// bytes — a lying prefix fails before any allocation.
-  bool read_string(std::string& v) {
+  /// Length-prefixed bytes whose length must fit in the remaining
+  /// bytes — a lying prefix fails before any allocation.  The view
+  /// points into the reader's input.
+  bool read_view(std::string_view& v) {
     std::uint64_t len = 0;
     if (!read_u64(len)) return false;
     if (len > remaining()) return ok_ = false;
-    v.assign(bytes_.data() + pos_, static_cast<std::size_t>(len));
+    v = bytes_.substr(pos_, static_cast<std::size_t>(len));
     pos_ += static_cast<std::size_t>(len);
+    return true;
+  }
+
+  bool read_string(std::string& v) {
+    std::string_view view;
+    if (!read_view(view)) return false;
+    v.assign(view);
     return true;
   }
 
@@ -81,13 +85,6 @@ std::uint32_t load_u32(const char* p) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i)
     v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  return v;
-}
-
-std::uint64_t load_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
   return v;
 }
 
@@ -175,7 +172,7 @@ FrameDecoder::Result FrameDecoder::next(Frame& out) {
   if (!frame_kind_valid(kind))
     return fail("unknown frame kind " + std::to_string(kind));
   if (h[6] != 0 || h[7] != 0) return fail("nonzero reserved field");
-  const std::uint64_t request_id = load_u64(h + 8);
+  const std::uint64_t request_id = load_le64(h + 8);
   const std::uint32_t payload_len = load_u32(h + 16);
   if (payload_len > max_payload_)
     return fail("payload length " + std::to_string(payload_len) +
@@ -195,7 +192,7 @@ FrameDecoder::Result FrameDecoder::next(Frame& out) {
       return fail("tenant length " + std::to_string(tenant_len) +
                   " exceeds bound " + std::to_string(kMaxTenantLen));
   }
-  const std::uint64_t payload_fnv = load_u64(h + 24);
+  const std::uint64_t payload_fnv = load_le64(h + 24);
 
   if (avail < header_size + payload_len) return Result::kNeedMore;
   const std::string_view region(h + header_size, payload_len);
@@ -203,8 +200,8 @@ FrameDecoder::Result FrameDecoder::next(Frame& out) {
 
   out.kind = static_cast<FrameKind>(kind);
   out.request_id = request_id;
-  out.trace_id = version == 1 ? 0 : load_u64(h + 32);
-  out.parent_span_id = version == 1 ? 0 : load_u64(h + 40);
+  out.trace_id = version == 1 ? 0 : load_le64(h + 32);
+  out.parent_span_id = version == 1 ? 0 : load_le64(h + 40);
   out.tenant.assign(region.data(), tenant_len);
   out.payload.assign(region.data() + tenant_len, region.size() - tenant_len);
   consumed_ += header_size + payload_len;
@@ -217,12 +214,14 @@ FrameDecoder::Result FrameDecoder::next(Frame& out) {
 
 std::string encode_request(const service::Request& req) {
   PSL_EXPECTS_MSG(req.instance != nullptr, "net: request has no instance");
+  const std::string instance = canonical_bytes(*req.instance);
   std::string out;
+  out.reserve(1 + 4 * 8 + req.solver.size() + instance.size());
   put_u8(out, static_cast<std::uint8_t>(req.kind));
   put_u64(out, req.k);
   put_u64(out, req.seed);
   put_string(out, req.solver);
-  put_string(out, canonical_bytes(*req.instance));
+  put_string(out, instance);
   // The mutation script rides as one extra length-prefixed field, only
   // for the kind that consumes it — the other kinds' bytes are
   // unchanged from the 5-field codec.
@@ -236,9 +235,10 @@ bool decode_request(std::string_view payload, service::Request& out,
   ByteReader r(payload);
   std::uint8_t kind = 0;
   std::uint64_t k = 0, seed = 0;
-  std::string solver, instance_bytes;
+  std::string solver;
+  std::string_view instance_bytes;
   if (!r.read_u8(kind) || !r.read_u64(k) || !r.read_u64(seed) ||
-      !r.read_string(solver) || !r.read_string(instance_bytes))
+      !r.read_string(solver) || !r.read_view(instance_bytes))
     return set_error(error, "request payload truncated");
   if (kind >= service::kRequestKindCount)
     return set_error(error,
@@ -246,8 +246,8 @@ bool decode_request(std::string_view payload, service::Request& out,
   std::vector<Mutation> script;
   if (kind ==
       static_cast<std::uint8_t>(service::RequestKind::kMutateHypergraph)) {
-    std::string script_bytes;
-    if (!r.read_string(script_bytes))
+    std::string_view script_bytes;
+    if (!r.read_view(script_bytes))
       return set_error(error, "request payload truncated");
     // Structural validation only; semantic applicability is checked at
     // execute time against the decoded instance.
@@ -349,32 +349,37 @@ bool decode_hypergraph(std::string_view bytes, Hypergraph& out,
     return set_error(error, "hypergraph edge count exceeds payload");
   if (n > kMaxWireVertices)
     return set_error(error, "hypergraph vertex count out of range");
-  std::vector<std::vector<VertexId>> edges;
-  edges.reserve(static_cast<std::size_t>(m));
+  // The edges go straight into Hypergraph's flat rows.  Every byte past
+  // the m size words is a vertex word at most, which sizes the vertex
+  // array exactly for a well-formed instance.
+  std::vector<std::size_t> offsets;
+  offsets.reserve(static_cast<std::size_t>(m) + 1);
+  offsets.push_back(0);
+  std::vector<VertexId> vertices;
+  vertices.reserve((r.remaining() - 8 * static_cast<std::size_t>(m)) / 8);
   for (std::uint64_t e = 0; e < m; ++e) {
     std::uint64_t size = 0;
     if (!r.read_u64(size))
       return set_error(error, "hypergraph bytes truncated");
     if (size > r.remaining() / 8)
       return set_error(error, "hypergraph edge size exceeds payload");
-    std::vector<VertexId> vs;
-    vs.reserve(static_cast<std::size_t>(size));
     for (std::uint64_t i = 0; i < size; ++i) {
       std::uint64_t v = 0;
       if (!r.read_u64(v))
         return set_error(error, "hypergraph bytes truncated");
       if (v >= n)
         return set_error(error, "hypergraph vertex id out of range");
-      vs.push_back(static_cast<VertexId>(v));
+      vertices.push_back(static_cast<VertexId>(v));
     }
-    edges.push_back(std::move(vs));
+    offsets.push_back(vertices.size());
   }
   if (!r.exhausted())
     return set_error(error, "hypergraph bytes have trailing data");
-  // The constructor still enforces non-empty edges with distinct
-  // vertices; convert its contract throw into a decode error.
+  // Hypergraph still enforces non-empty edges with distinct vertices;
+  // convert its contract throw into a decode error.
   try {
-    out = Hypergraph(static_cast<std::size_t>(n), std::move(edges));
+    out = Hypergraph::from_csr(static_cast<std::size_t>(n), std::move(offsets),
+                               std::move(vertices));
   } catch (const std::exception& e) {
     return set_error(error, std::string("invalid hypergraph: ") + e.what());
   }

@@ -157,10 +157,11 @@ class FrameDecoder {
 /// canonical_bytes(instance) string.  Requires req.instance != nullptr.
 [[nodiscard]] std::string encode_request(const service::Request& req);
 
-/// Inverse of encode_request.  Rebuilds the Hypergraph from its
-/// canonical bytes (bounds-checked before any allocation sized by
-/// untrusted lengths) and fills out.instance_hash from the decoded
-/// content.  out.id is NOT set here — it travels in the frame header.
+/// Inverse of encode_request.  Decodes the instance in place from the
+/// payload (decode_hypergraph, no copy of its bytes) and fills
+/// out.instance_hash from the decoded content, so an edge sent unsorted
+/// gets the hash of its sorted instance.  out.id is NOT set here — it
+/// travels in the frame header.
 [[nodiscard]] bool decode_request(std::string_view payload,
                                   service::Request& out, std::string* error);
 
@@ -196,9 +197,13 @@ enum class NackCode : std::uint8_t {
                                std::uint64_t* retry_after_us = nullptr);
 
 /// Decode the canonical hypergraph bytes produced by canonical_bytes()
-/// (util/hash.hpp).  Validates counts against the available bytes
-/// before allocating and lets the Hypergraph constructor enforce the
-/// structural invariants (in-range, distinct, non-empty edges).
+/// (util/hash.hpp) in one pass, straight into Hypergraph's flat edge
+/// rows (Hypergraph::from_csr): no vector per edge or per vertex.
+/// Validates counts against the available bytes before allocating and
+/// range-checks each vertex id as it is read; Hypergraph's one
+/// validating routine then rejects empty edges and repeated vertices
+/// with its own messages ("invalid hypergraph: ..."), and stores each
+/// edge sorted.
 [[nodiscard]] bool decode_hypergraph(std::string_view bytes, Hypergraph& out,
                                      std::string* error);
 

@@ -1,5 +1,6 @@
 #include "qc/property.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -344,10 +345,46 @@ DecodeRun run_decoder(Rng& rng, std::string_view bytes) {
   return run;
 }
 
+/// Why a decoded request's instance breaks Hypergraph's invariants or
+/// misstates its hash, or nullopt when every edge is non-empty, strictly
+/// ascending and < n, edges_of(v) lists exactly the edges that contain
+/// v, and instance_hash is the instance's own.  No per-vertex storage:
+/// a decoded n may be as large as net::wire::kMaxWireVertices.
+std::optional<std::string> malformed_instance(const service::Request& req) {
+  const Hypergraph& h = *req.instance;
+  std::size_t pairs = 0;
+  for (EdgeId e = 0; e < h.edge_count(); ++e) {
+    const auto verts = h.edge(e);
+    const std::string edge = "edge " + std::to_string(e);
+    if (verts.empty()) return edge + " is empty";
+    for (std::size_t i = 0; i < verts.size(); ++i) {
+      if (verts[i] >= h.vertex_count()) return edge + " vertex out of range";
+      if (i > 0 && verts[i - 1] >= verts[i])
+        return edge + " is not strictly ascending";
+    }
+    pairs += verts.size();
+  }
+  // Each listed edge holds v and the lists ascend, so equal totals mean
+  // no containing edge is missing.
+  for (VertexId v = 0; v < h.vertex_count(); ++v) {
+    const auto edges = h.edges_of(v);
+    for (std::size_t i = 0; i < edges.size(); ++i)
+      if (!h.edge_contains(edges[i], v) || (i > 0 && edges[i - 1] >= edges[i]))
+        return "edges_of(" + std::to_string(v) + ") disagrees with the edges";
+    pairs -= std::min(pairs, edges.size());
+  }
+  if (pairs != 0) return std::string("edges_of misses a containing edge");
+  if (req.instance_hash != hash_hypergraph(h))
+    return std::string("instance_hash is not the instance's hash");
+  return std::nullopt;
+}
+
 /// Frame-decoder fuzz: valid frames round-trip byte-exactly under any
 /// chunking; truncated / bit-flipped / length-lied / garbage streams
 /// are rejected (or starved) without a crash and never resurface as a
-/// "valid" copy of the original frame.
+/// "valid" copy of the original frame.  A hostile request payload (a
+/// flipped byte or a lying count inside its instance) is rejected with
+/// an error or decodes to a well-formed instance with its own hash.
 Property net_frame_property() {
   return {"net_frame", [](Rng& rng) -> std::optional<Failure> {
             const auto fail = [](std::string msg, std::string witness) {
@@ -481,6 +518,67 @@ Property net_frame_property() {
                 net::wire::encode_request(decoded) != payload)
               return fail("request payload round trip not byte-exact",
                           describe(*req.instance));
+
+            // Hostile request payloads, drawn after everything above so
+            // the earlier draws (and the fuzz report) stay as they were:
+            // one flipped byte, or a lying edge size or edge count, inside
+            // the instance, which is the payload's last field.
+            const Hypergraph& instance = *req.instance;
+            const std::size_t instance_at =
+                payload.size() - canonical_bytes(instance).size();
+            std::string hostile = payload;
+            const auto write_word = [&hostile](std::size_t at,
+                                               std::uint64_t v) {
+              for (std::size_t i = 0; i < 8; ++i)
+                hostile[at + i] = static_cast<char>(v >> (8 * i));
+            };
+            std::string lie;
+            switch (rng.next_below(3)) {
+              case 0: {
+                const std::size_t at =
+                    instance_at + rng.next_below(payload.size() - instance_at);
+                hostile[at] ^= static_cast<char>(1 + rng.next_below(255));
+                lie = "byte " + std::to_string(at - instance_at) + " flipped";
+                break;
+              }
+              case 1:
+                if (instance.edge_count() > 0) {
+                  const auto e = static_cast<EdgeId>(
+                      rng.next_below(instance.edge_count()));
+                  std::size_t at = instance_at + 16;  // after n and m
+                  for (EdgeId i = 0; i < e; ++i)
+                    at += 8 * (1 + instance.edge_size(i));
+                  const std::uint64_t size =
+                      rng.next_bool(0.5)
+                          ? rng.next_u64()
+                          : rng.next_below(instance.edge_size(e) + 3);
+                  write_word(at, size);
+                  lie = "edge " + std::to_string(e) + " size " +
+                        std::to_string(size);
+                  break;
+                }
+                [[fallthrough]];
+              default: {
+                const std::uint64_t m =
+                    rng.next_bool(0.5)
+                        ? rng.next_u64()
+                        : rng.next_below(instance.edge_count() + 3);
+                write_word(instance_at + 8, m);
+                lie = "edge count " + std::to_string(m);
+                break;
+              }
+            }
+            service::Request hostile_out;
+            std::string hostile_error;
+            if (!net::wire::decode_request(hostile, hostile_out,
+                                           &hostile_error)) {
+              if (hostile_error.empty())
+                return fail("hostile request rejected without an error",
+                            lie + " in " + describe(instance));
+            } else if (const auto bad = malformed_instance(hostile_out)) {
+              return fail("hostile request decoded to a bad instance: " + *bad,
+                          lie + " in " + describe(instance));
+            }
             return std::nullopt;
           }};
 }

@@ -85,12 +85,12 @@ void apply_thread_option(const Options& opts) {
 BenchReport::BenchReport(std::string name, const Options& opts)
     : name_(std::move(name)), json_out_(opts.json_out()) {
   for (const auto& [key, value] : opts.values())
-    options_.emplace_back(key, cell_to_json(value));
-  // Record the *effective* lane count, so a run without --threads is
-  // still fully described by its JSON.
-  if (!opts.has("threads"))
-    options_.emplace_back(
-        "threads", std::to_string(runtime::global_thread_count()));
+    if (key != "threads") options_.emplace_back(key, cell_to_json(value));
+  // Record the *effective* lane count, so every run is fully described
+  // by its JSON: without --threads, and with --threads=0 (hardware
+  // concurrency).
+  options_.emplace_back("threads",
+                        std::to_string(runtime::global_thread_count()));
 }
 
 BenchReport& BenchReport::metric(const std::string& key, double value) {

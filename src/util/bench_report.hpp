@@ -6,8 +6,8 @@
 //
 //   {
 //     "bench": "<name>",
-//     "options": { "seed": 1, "threads": 4, ... },   // CLI verbatim +
-//                                                    // effective threads
+//     "options": { "seed": 1, "threads": 4, ... },   // CLI verbatim, but
+//                                                    // threads = lanes run
 //     "metrics": { "fit_slope": 1.98, ... },         // scalar summaries
 //     "tables": [
 //       { "caption": "...", "columns": [...], "rows": [[...], ...] }

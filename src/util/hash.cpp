@@ -67,17 +67,23 @@ std::uint64_t hash_hypergraph(const Hypergraph& h) {
 }
 
 std::string canonical_bytes(const Hypergraph& h) {
-  std::string out;
-  const auto put_u64 = [&out](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out += static_cast<char>(v >> (8 * i));
+  const std::size_t m = h.edge_count();
+  std::size_t words = 2 + m;
+  for (EdgeId e = 0; e < m; ++e) words += h.edge_size(e);
+  std::string out(8 * words, '\0');
+  char* p = out.data();
+  const auto put_u64 = [&p](std::uint64_t v) {
+    store_le64(p, v);
+    p += 8;
   };
   put_u64(h.vertex_count());
-  put_u64(h.edge_count());
-  for (EdgeId e = 0; e < h.edge_count(); ++e) {
+  put_u64(m);
+  for (EdgeId e = 0; e < m; ++e) {
     const auto vs = h.edge(e);
     put_u64(vs.size());
     for (const VertexId v : vs) put_u64(v);
   }
+  PSL_ENSURES(p == out.data() + out.size());
   return out;
 }
 

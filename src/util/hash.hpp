@@ -11,8 +11,11 @@
 // replay files comparable between runs and machines.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -21,7 +24,32 @@
 
 namespace pslocal {
 
+/// The canonical word order: the u64 at p (any alignment), little-endian.
+[[nodiscard]] inline std::uint64_t load_le64(const void* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big)
+    v = __builtin_bswap64(v);
+  return v;
+}
+
+/// Writes v at p (any alignment) as 8 little-endian bytes.
+inline void store_le64(void* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big)
+    v = __builtin_bswap64(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
 /// Streaming FNV-1a 64-bit hasher over a canonical byte encoding.
+///
+/// Words go through update_u64, which folds each word's high zero
+/// bytes: a zero byte turns the step h = (h ^ b) * P into h = h * P, so
+/// the z zero bytes above a word's highest nonzero byte are one multiply
+/// by P^z.  Vertex ids, counts and sizes have few significant bytes, so
+/// most words take 2-4 multiplies instead of 8.  The digest is the
+/// byte-at-a-time FNV-1a, bit for bit, so cache keys, graph hashes and
+/// frame checksums are unchanged (tests/test_hash.cpp pins the fold
+/// against that definition).
 class Fnv1a64 {
  public:
   static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ULL;
@@ -31,14 +59,20 @@ class Fnv1a64 {
     h_ = (h_ ^ b) * kPrime;
   }
 
+  /// Whole words through update_u64 (little-endian, so its byte order is
+  /// the stream's), then the tail byte by byte.
   void update_bytes(const void* data, std::size_t len) {
     const auto* p = static_cast<const std::uint8_t*>(data);
-    for (std::size_t i = 0; i < len; ++i) update_byte(p[i]);
+    for (; len >= 8; p += 8, len -= 8) update_u64(load_le64(p));
+    for (; len > 0; ++p, --len) update_byte(*p);
   }
 
   /// Fixed-width little-endian encoding (canonical across platforms).
   void update_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) update_byte(static_cast<std::uint8_t>(v >> (8 * i)));
+    const int significant = (std::bit_width(v) + 7) / 8;
+    for (int i = 0; i < significant; ++i, v >>= 8)
+      h_ = (h_ ^ (v & 0xff)) * kPrime;
+    if (significant < 8) h_ *= kPrimePowers[8 - significant];
   }
 
   /// Length-prefixed, so {"ab","c"} and {"a","bc"} hash differently.
@@ -50,6 +84,15 @@ class Fnv1a64 {
   [[nodiscard]] std::uint64_t digest() const { return h_; }
 
  private:
+  /// kPrimePowers[z] == kPrime^z (mod 2^64): z zero bytes in one step.
+  static constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+    std::array<std::uint64_t, 9> powers{};
+    powers[0] = 1;
+    for (std::size_t z = 1; z < powers.size(); ++z)
+      powers[z] = powers[z - 1] * kPrime;
+    return powers;
+  }();
+
   std::uint64_t h_ = kOffsetBasis;
 };
 

@@ -28,12 +28,6 @@ class Options {
     return positionals_;
   }
 
-  /// Worker-thread count requested with --threads (0 = use
-  /// hardware_concurrency; fallback when the flag is absent).
-  [[nodiscard]] long threads(long fallback = 1) const {
-    return get_int("threads", fallback);
-  }
-
   /// Output path requested with --json-out; empty = use the caller's
   /// default (benches write BENCH_<name>.json).
   [[nodiscard]] std::string json_out() const {

@@ -92,6 +92,21 @@ TEST(BenchReportTest, RecordsOptionsVerbatimPlusEffectiveThreads) {
   EXPECT_EQ(report.write(), "");  // --json-out=none suppresses the file
 }
 
+TEST(BenchReportTest, RecordsEffectiveThreadsWhenTheFlagIsZero) {
+  // --threads=0 asks for hardware concurrency; the report records the
+  // lane count the run got, not the 0 it was given.
+  const std::size_t lanes = runtime::global_thread_count();
+  const auto opts = make_options({"--threads=0", "--json-out=none"});
+  apply_thread_option(opts);
+  const std::size_t effective = runtime::global_thread_count();
+  const BenchReport report("threads_zero", opts);
+  runtime::set_global_thread_count(lanes);
+  EXPECT_GE(effective, 1u);
+  EXPECT_DOUBLE_EQ(
+      json::parse(report.to_json()).at("options").at("threads").as_number(),
+      static_cast<double>(effective));
+}
+
 TEST(BenchReportTest, NegativeThreadsViolatesContract) {
   // A negative count must not wrap to SIZE_MAX lanes.  -1 is the only
   // value tried: the check fires before the global pool is touched.

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -22,6 +24,67 @@ TEST(HashTest, Fnv1a64MatchesReferenceVectors) {
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
   EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
+/// FNV-1a by its definition, one byte at a time from state h: the
+/// reference Fnv1a64's word-wise zero-byte fold must match bit for bit.
+std::uint64_t fnv_bytewise(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes)
+    h = (h ^ static_cast<std::uint8_t>(c)) * Fnv1a64::kPrime;
+  return h;
+}
+
+std::string le_bytes(std::uint64_t v) {
+  std::string out;
+  for (int i = 0; i < 8; ++i) out += static_cast<char>(v >> (8 * i));
+  return out;
+}
+
+TEST(HashTest, UpdateU64FoldMatchesByteAtATime) {
+  std::vector<std::uint64_t> words = {0,         1,         0xff,
+                                      0x100,     0xffff,    1ULL << 56,
+                                      1ULL << 63, ~0ULL};
+  Rng rng(25);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t w = rng.next_u64();
+    words.push_back(w);
+    words.push_back(w >> rng.next_below(64));  // 0..7 high zero bytes
+  }
+  // Each word from the offset basis, and all of them chained.
+  Fnv1a64 chained;
+  std::uint64_t chained_ref = Fnv1a64::kOffsetBasis;
+  for (const std::uint64_t w : words) {
+    Fnv1a64 one;
+    one.update_u64(w);
+    EXPECT_EQ(one.digest(), fnv_bytewise(Fnv1a64::kOffsetBasis, le_bytes(w)))
+        << "word " << hex64(w);
+    chained.update_u64(w);
+    chained_ref = fnv_bytewise(chained_ref, le_bytes(w));
+    ASSERT_EQ(chained.digest(), chained_ref) << "after word " << hex64(w);
+  }
+}
+
+TEST(HashTest, UpdateBytesMatchesByteAtATime) {
+  // Every length 0..40 covers whole words, tails and their mix; half
+  // the bytes are zero, so zero runs land at every position of a word.
+  // The input starts one byte into its buffer, so the word loads are
+  // unaligned too.
+  Rng rng(40);
+  for (std::size_t len = 0; len <= 40; ++len) {
+    for (int trial = 0; trial < 64; ++trial) {
+      std::string buffer(len + 1, '\0');
+      if (trial > 0)  // trial 0 is all zero bytes
+        for (std::size_t i = 1; i <= len; ++i)
+          if (rng.next_bool(0.5))
+            buffer[i] = static_cast<char>(rng.next_below(256));
+      const std::string_view bytes = std::string_view(buffer).substr(1);
+      Fnv1a64 h;
+      h.update_bytes(bytes.data(), bytes.size());
+      ASSERT_EQ(h.digest(), fnv_bytewise(Fnv1a64::kOffsetBasis, bytes))
+          << "len " << len << " trial " << trial;
+      ASSERT_EQ(fnv1a64(bytes), h.digest());
+    }
+  }
 }
 
 TEST(HashTest, UpdateU64IsLengthPrefixFree) {

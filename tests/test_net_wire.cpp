@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "hypergraph/generators.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace pslocal::net::wire {
 namespace {
@@ -479,6 +484,183 @@ TEST(NetWireTest, HypergraphDecodeRejectsLiedCounts) {
   std::string bad_vertex = bytes;
   bad_vertex[bytes.size() - 1] = '\x7f';
   EXPECT_FALSE(decode_hypergraph(bad_vertex, out, &error));
+}
+
+/// Appends v as 8 little-endian bytes, the canonical word.
+void put_word(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out += static_cast<char>(v >> (8 * i));
+}
+
+/// Instance bytes in the canonical layout, written word by word, so a
+/// test can send what canonical_bytes never writes: unsorted rows,
+/// repeated vertices, empty edges, out-of-range ids.
+std::string raw_instance(std::uint64_t n,
+                         const std::vector<std::vector<std::uint64_t>>& edges) {
+  std::string out;
+  put_word(out, n);
+  put_word(out, edges.size());
+  for (const auto& edge : edges) {
+    put_word(out, edge.size());
+    for (const std::uint64_t v : edge) put_word(out, v);
+  }
+  return out;
+}
+
+/// A luby_mis request payload (k 3, seed 1, empty solver) around raw
+/// instance bytes, in encode_request's field order.
+std::string raw_request(const std::string& instance) {
+  std::string out(1, static_cast<char>(service::RequestKind::kLubyMis));
+  put_word(out, 3);
+  put_word(out, 1);
+  put_word(out, 0);
+  put_word(out, instance.size());
+  return out + instance;
+}
+
+TEST(NetWireTest, RequestDecodeRejectsInvalidEdgesWithTheirMessages) {
+  // An empty edge and a repeated vertex reach Hypergraph's validating
+  // routine, whose contract text the decoder passes on; an id >= n is
+  // caught while the ids are read.
+  const auto decode_error = [](const std::string& instance) {
+    service::Request out;
+    std::string error;
+    EXPECT_FALSE(decode_request(raw_request(instance), out, &error));
+    EXPECT_EQ(out.instance, nullptr);
+    return error;
+  };
+  const auto expect_contract = [](const std::string& error,
+                                  const std::string& message) {
+    EXPECT_EQ(error.rfind("invalid hypergraph: Precondition failed: (", 0),
+              0u)
+        << error;
+    EXPECT_TRUE(error.ends_with(" — " + message)) << error;
+  };
+  expect_contract(decode_error(raw_instance(4, {{0, 1}, {}})),
+                  "hyperedge 1 is empty");
+  expect_contract(decode_error(raw_instance(4, {{1, 3}, {2, 0, 2}})),
+                  "hyperedge 1 has duplicate vertices");
+  EXPECT_EQ(decode_error(raw_instance(4, {{0, 1}, {3, 4}})),
+            "hypergraph vertex id out of range");
+  EXPECT_EQ(decode_error(raw_instance(4, {{0, std::uint64_t{1} << 32}})),
+            "hypergraph vertex id out of range");
+}
+
+TEST(NetWireTest, UnsortedEdgeDecodesToTheSortedInstanceAndItsHash) {
+  service::Request out;
+  std::string error;
+  ASSERT_TRUE(decode_request(raw_request(raw_instance(6, {{2, 0, 1}, {5, 3}})),
+                             out, &error))
+      << error;
+  const Hypergraph sorted(6, {{0, 1, 2}, {3, 5}});
+  ASSERT_NE(out.instance, nullptr);
+  ASSERT_EQ(out.instance->edge_count(), sorted.edge_count());
+  for (EdgeId e = 0; e < sorted.edge_count(); ++e)
+    EXPECT_TRUE(std::ranges::equal(out.instance->edge(e), sorted.edge(e)))
+        << "edge " << e;
+  EXPECT_EQ(out.instance_hash, hash_hypergraph(sorted));
+  EXPECT_EQ(canonical_bytes(*out.instance), canonical_bytes(sorted));
+}
+
+// Cross-commit pin of the request bytes: encode_frame(encode_request(...))
+// of a luby_mis request over each of MissPayloadGoldenTest's planted
+// instances (tests/test_miss_payloads.cpp), one lowercase hex line each,
+// against tests/golden/request_frames.txt.  The round-trip tests compare
+// the codec with itself; this one fails when the writer moves a byte
+// relative to the commit that wrote the golden, and decoding the
+// golden's lines pins the reader.  On a mismatch the produced lines go
+// to request_frames.txt.actual in the working directory.
+struct FrameCase {
+  std::size_t n, m, k;
+  std::uint64_t seed;
+};
+
+constexpr FrameCase kFrameCases[] = {
+    {48, 40, 2, 1}, {56, 48, 2, 2}, {64, 52, 3, 3}, {80, 64, 3, 4}};
+
+Hypergraph frame_case_instance(const FrameCase& c) {
+  PlantedCfParams params;
+  params.n = c.n;
+  params.m = c.m;
+  params.k = c.k;
+  Rng rng(c.seed);
+  return planted_cf_colorable(params, rng).hypergraph;
+}
+
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+std::string from_hex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    out += static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16));
+  return out;
+}
+
+TEST(RequestFrameGoldenTest, MatchesCheckedInBytesAndDecodesBack) {
+  std::vector<Hypergraph> instances;
+  std::string actual;
+  for (std::size_t i = 0; i < std::size(kFrameCases); ++i) {
+    const FrameCase& c = kFrameCases[i];
+    instances.push_back(frame_case_instance(c));
+    service::Request req;
+    req.kind = service::RequestKind::kLubyMis;
+    req.instance = std::make_shared<const Hypergraph>(instances.back());
+    req.k = c.k;
+    req.seed = c.seed;
+    Frame frame;
+    frame.kind = FrameKind::kRequest;
+    frame.request_id = i + 1;
+    frame.payload = encode_request(req);
+    actual += to_hex(encode_frame(frame)) + '\n';
+  }
+  std::ifstream in(std::string(PSLOCAL_GOLDEN_DIR) + "/request_frames.txt");
+  EXPECT_TRUE(in.good()) << "cannot open request_frames.txt";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  if (actual != golden.str()) {
+    std::ofstream("request_frames.txt.actual") << actual;
+    ADD_FAILURE() << "request frames differ from the golden; the produced "
+                     "lines are in request_frames.txt.actual";
+  }
+
+  std::istringstream lines(golden.str());
+  std::string line;
+  std::size_t i = 0;
+  for (; std::getline(lines, line); ++i) {
+    ASSERT_LT(i, instances.size());
+    SCOPED_TRACE(testing::Message() << "golden line " << i);
+    FrameDecoder decoder;
+    decoder.feed(from_hex(line));
+    Frame frame;
+    ASSERT_EQ(decoder.next(frame), FrameDecoder::Result::kFrame)
+        << decoder.error();
+    EXPECT_EQ(decoder.buffered(), 0u);
+    EXPECT_EQ(frame.request_id, i + 1);
+    service::Request out;
+    std::string error;
+    ASSERT_TRUE(decode_request(frame.payload, out, &error)) << error;
+    EXPECT_EQ(out.kind, service::RequestKind::kLubyMis);
+    EXPECT_EQ(out.k, kFrameCases[i].k);
+    EXPECT_EQ(out.seed, kFrameCases[i].seed);
+    const Hypergraph& want = instances[i];
+    ASSERT_EQ(out.instance->vertex_count(), want.vertex_count());
+    ASSERT_EQ(out.instance->edge_count(), want.edge_count());
+    for (EdgeId e = 0; e < want.edge_count(); ++e)
+      EXPECT_TRUE(std::ranges::equal(out.instance->edge(e), want.edge(e)))
+          << "edge " << e;
+    EXPECT_EQ(hash_hypergraph(*out.instance), hash_hypergraph(want));
+    EXPECT_EQ(out.instance_hash, hash_hypergraph(want));
+  }
+  EXPECT_EQ(i, instances.size());
 }
 
 }  // namespace
