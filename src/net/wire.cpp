@@ -24,7 +24,8 @@ void put_u32(std::string& out, std::uint32_t v) {
 }
 
 void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out += static_cast<char>(v >> (8 * i));
+  out.resize(out.size() + 8);
+  store_le64(out.data() + out.size() - 8, v);
 }
 
 void put_string(std::string& out, std::string_view s) {

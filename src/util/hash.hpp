@@ -42,14 +42,21 @@ inline void store_le64(void* p, std::uint64_t v) {
 
 /// Streaming FNV-1a 64-bit hasher over a canonical byte encoding.
 ///
-/// Words go through update_u64, which folds each word's high zero
-/// bytes: a zero byte turns the step h = (h ^ b) * P into h = h * P, so
-/// the z zero bytes above a word's highest nonzero byte are one multiply
-/// by P^z.  Vertex ids, counts and sizes have few significant bytes, so
-/// most words take 2-4 multiplies instead of 8.  The digest is the
-/// byte-at-a-time FNV-1a, bit for bit, so cache keys, graph hashes and
-/// frame checksums are unchanged (tests/test_hash.cpp pins the fold
+/// update_u64 folds each word's high zero bytes: a zero byte turns the
+/// step h = (h ^ b) * P into h = h * P, so the z zero bytes above a
+/// word's highest nonzero byte are one multiply by P^z.  The vertex ids,
+/// counts and sizes that hash_hypergraph and hash_graph feed it have few
+/// significant bytes, so most words take 2-4 multiplies instead of 8.
+/// The digest is the byte-at-a-time FNV-1a, bit for bit, so cache keys
+/// and graph hashes are unchanged (tests/test_hash.cpp pins the fold
 /// against that definition).
+///
+/// update_bytes stays byte by byte.  Its callers hash byte strings (a
+/// frame's payload, solver names) whose 8-byte chunks need not line up
+/// with any encoded word.  A request payload's instance starts at offset
+/// 33 plus the solver name's length, so a chunk mostly ends in the low,
+/// nonzero byte of the next word: fed through the fold, hot_hits request
+/// frames hashed under 4 % faster.
 class Fnv1a64 {
  public:
   static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ULL;
@@ -59,12 +66,9 @@ class Fnv1a64 {
     h_ = (h_ ^ b) * kPrime;
   }
 
-  /// Whole words through update_u64 (little-endian, so its byte order is
-  /// the stream's), then the tail byte by byte.
   void update_bytes(const void* data, std::size_t len) {
     const auto* p = static_cast<const std::uint8_t*>(data);
-    for (; len >= 8; p += 8, len -= 8) update_u64(load_le64(p));
-    for (; len > 0; ++p, --len) update_byte(*p);
+    for (std::size_t i = 0; i < len; ++i) update_byte(p[i]);
   }
 
   /// Fixed-width little-endian encoding (canonical across platforms).

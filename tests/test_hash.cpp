@@ -27,7 +27,7 @@ TEST(HashTest, Fnv1a64MatchesReferenceVectors) {
 }
 
 /// FNV-1a by its definition, one byte at a time from state h: the
-/// reference Fnv1a64's word-wise zero-byte fold must match bit for bit.
+/// reference update_u64's zero-byte fold must match bit for bit.
 std::uint64_t fnv_bytewise(std::uint64_t h, std::string_view bytes) {
   for (const char c : bytes)
     h = (h ^ static_cast<std::uint8_t>(c)) * Fnv1a64::kPrime;
@@ -67,8 +67,7 @@ TEST(HashTest, UpdateU64FoldMatchesByteAtATime) {
 TEST(HashTest, UpdateBytesMatchesByteAtATime) {
   // Every length 0..40 covers whole words, tails and their mix; half
   // the bytes are zero, so zero runs land at every position of a word.
-  // The input starts one byte into its buffer, so the word loads are
-  // unaligned too.
+  // The input starts one byte into its buffer, off any word boundary.
   Rng rng(40);
   for (std::size_t len = 0; len <= 40; ++len) {
     for (int trial = 0; trial < 64; ++trial) {
