@@ -51,12 +51,12 @@ inline void store_le64(void* p, std::uint64_t v) {
 /// and graph hashes are unchanged (tests/test_hash.cpp pins the fold
 /// against that definition).
 ///
-/// update_bytes stays byte by byte.  Its callers hash byte strings (a
+/// update_bytes runs byte by byte: its callers hash byte strings (a
 /// frame's payload, solver names) whose 8-byte chunks need not line up
-/// with any encoded word.  A request payload's instance starts at offset
-/// 33 plus the solver name's length, so a chunk mostly ends in the low,
-/// nonzero byte of the next word: fed through the fold, hot_hits request
-/// frames hashed under 4 % faster.
+/// with any encoded word.  A request payload's instance starts 33 bytes
+/// plus the solver name's length in, so most chunks end in a word's
+/// nonzero low byte, and the fold made hot_hits request frames under 4 %
+/// faster.
 class Fnv1a64 {
  public:
   static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ULL;

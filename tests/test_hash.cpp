@@ -65,9 +65,9 @@ TEST(HashTest, UpdateU64FoldMatchesByteAtATime) {
 }
 
 TEST(HashTest, UpdateBytesMatchesByteAtATime) {
-  // Every length 0..40 covers whole words, tails and their mix; half
-  // the bytes are zero, so zero runs land at every position of a word.
-  // The input starts one byte into its buffer, off any word boundary.
+  // Every length 0..40, half the bytes zero, starting one byte into
+  // the buffer: whatever word path update_bytes takes, it must stay the
+  // byte-at-a-time definition, zero runs and tails included.
   Rng rng(40);
   for (std::size_t len = 0; len <= 40; ++len) {
     for (int trial = 0; trial < 64; ++trial) {
