@@ -27,20 +27,22 @@ struct VerifierMsg {
   bool verdict = false;             // round 2 payload
 };
 
-class CfVerifier final
-    : public BroadcastAlgorithm<VerifierState, VerifierMsg> {
+class CfVerifier {
  public:
+  using State = VerifierState;
+  using Msg = VerifierMsg;
+
   CfVerifier(const Hypergraph& h, const CfMulticoloring& mc)
       : h_(h), mc_(mc) {}
 
-  VerifierState init(VertexId v, const Graph&, Rng&) override {
+  VerifierState init(VertexId v, const Graph&, Rng&) {
     VerifierState s;
     s.is_edge_agent = v >= h_.vertex_count();
     if (!s.is_edge_agent) s.colors = mc_.colors_of(v);
     return s;
   }
 
-  std::optional<VerifierMsg> emit(VertexId, const VerifierState& s) override {
+  std::optional<VerifierMsg> emit(VertexId, const VerifierState& s) {
     VerifierMsg m;
     m.from_edge_agent = s.is_edge_agent;
     if (!s.is_edge_agent) {
@@ -54,8 +56,7 @@ class CfVerifier final
     return std::nullopt;  // edge agents are silent in round 1
   }
 
-  void step(VertexId, VerifierState& s,
-            std::span<const std::optional<VerifierMsg>> inbox, Rng&) override {
+  void step(VertexId, VerifierState& s, InboxView<VerifierMsg> inbox, Rng&) {
     if (s.round == 0 && s.is_edge_agent) {
       // Round 1: tally member colors; happy iff some color is unique.
       std::map<std::size_t, std::size_t> freq;
@@ -77,11 +78,11 @@ class CfVerifier final
     ++s.round;
   }
 
-  bool halted(VertexId, const VerifierState& s) override {
+  bool halted(VertexId, const VerifierState& s) {
     return s.round >= 2;
   }
 
-  std::size_t message_size(const VerifierMsg& m) const override {
+  std::size_t message_size(const VerifierMsg& m) const {
     return sizeof(bool) * 2 + m.colors.size() * sizeof(std::size_t);
   }
 

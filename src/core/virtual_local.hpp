@@ -16,7 +16,8 @@
 //    the run, so every delivery takes one hop and one virtual round costs
 //    exactly one physical round;
 //  * semantic equivalence: the virtual execution *is* run_local() on G_k
-//    (same per-node RNG streams, same inbox order), so with the same seed
+//    (same per-node RNG streams, same inbox order: each step's InboxView
+//    reads the outbox through G_k's neighbor row), so with the same seed
 //    it is bit-identical to running the algorithm directly on G_k — tests
 //    assert equality of final states via the caller's comparator.
 //
@@ -49,11 +50,10 @@ struct VirtualRunResult {
 };
 
 /// Execute `algo` on cg.graph(), hosted on cg.hypergraph()'s primal graph.
-template <typename State, typename Msg>
-VirtualRunResult<State> run_local_on_hosts(const ConflictGraph& cg,
-                                           BroadcastAlgorithm<State, Msg>& algo,
-                                           std::uint64_t seed,
-                                           std::size_t max_rounds) {
+template <BroadcastAlgorithm Algo>
+VirtualRunResult<typename Algo::State> run_local_on_hosts(
+    const ConflictGraph& cg, Algo& algo, std::uint64_t seed,
+    std::size_t max_rounds) {
   const Graph& gk = cg.graph();
   const Graph primal = cg.hypergraph().primal_graph();
 
@@ -70,15 +70,15 @@ VirtualRunResult<State> run_local_on_hosts(const ConflictGraph& cg,
 
   // Each round, every host sends one bundled message: the virtual
   // messages of its triples, plus a routing id each.
-  VirtualRunResult<State> run;
+  VirtualRunResult<typename Algo::State> run;
   std::vector<std::size_t> host_bytes(cg.hypergraph().vertex_count());
   auto local = run_local(
       gk, algo, seed, max_rounds,
-      [&](std::span<const std::optional<Msg>> outbox) {
+      [&](std::span<const std::optional<typename Algo::Msg>> outbox) {
         std::fill(host_bytes.begin(), host_bytes.end(), 0);
         for (TripleId t = 0; t < outbox.size(); ++t)
           if (outbox[t])
-            host_bytes[host_of[t]] += algo.message_size(*outbox[t]) + 8;
+            host_bytes[host_of[t]] += message_size_of(algo, *outbox[t]) + 8;
         for (std::size_t bytes : host_bytes) {
           run.max_physical_message_bytes =
               std::max(run.max_physical_message_bytes, bytes);

@@ -21,17 +21,19 @@ struct ColorMsg {
   VertexId sender = 0;
 };
 
-class ColoringAlgorithm final
-    : public BroadcastAlgorithm<ColorState, ColorMsg> {
+class ColoringAlgorithm {
  public:
-  ColorState init(VertexId v, const Graph& g, Rng& rng) override {
+  using State = ColorState;
+  using Msg = ColorMsg;
+
+  ColorState init(VertexId v, const Graph& g, Rng& rng) {
     ColorState s;
     s.taken.assign(g.degree(v) + 1, false);
     s.candidate = draw(s, rng);
     return s;
   }
 
-  std::optional<ColorMsg> emit(VertexId v, const ColorState& s) override {
+  std::optional<ColorMsg> emit(VertexId v, const ColorState& s) {
     ColorMsg m;
     m.decided = (s.final_color != kNoColor);
     m.color = m.decided ? s.final_color : s.candidate;
@@ -39,9 +41,7 @@ class ColoringAlgorithm final
     return m;
   }
 
-  void step(VertexId v, ColorState& s,
-            std::span<const std::optional<ColorMsg>> inbox,
-            Rng& rng) override {
+  void step(VertexId v, ColorState& s, InboxView<ColorMsg> inbox, Rng& rng) {
     if (s.final_color != kNoColor) return;
     bool keep = true;
     for (const auto& m : inbox) {
@@ -60,7 +60,7 @@ class ColoringAlgorithm final
     }
   }
 
-  bool halted(VertexId, const ColorState& s) override {
+  bool halted(VertexId, const ColorState& s) {
     return s.final_color != kNoColor;
   }
 

@@ -28,21 +28,20 @@ struct CongestRunResult {
 /// Execute `algo` with bandwidth cap B >= 1 byte.  The run is run_local's
 /// (states, outputs, algorithm rounds, message accounting); a round
 /// observer adds the physical-round bill.
-template <typename State, typename Msg>
-CongestRunResult<State> run_congest(const Graph& g,
-                                    BroadcastAlgorithm<State, Msg>& algo,
-                                    std::uint64_t seed,
-                                    std::size_t max_rounds,
-                                    std::size_t bandwidth_bytes) {
+template <BroadcastAlgorithm Algo>
+CongestRunResult<typename Algo::State> run_congest(
+    const Graph& g, Algo& algo, std::uint64_t seed, std::size_t max_rounds,
+    std::size_t bandwidth_bytes) {
   PSL_EXPECTS(bandwidth_bytes >= 1);
-  CongestRunResult<State> out;
+  CongestRunResult<typename Algo::State> out;
   out.bandwidth_bytes = bandwidth_bytes;
   out.local = run_local(
       g, algo, seed, max_rounds,
-      [&](std::span<const std::optional<Msg>> outbox) {
+      [&](std::span<const std::optional<typename Algo::Msg>> outbox) {
         std::size_t max_bytes = 0;
         for (const auto& msg : outbox)
-          if (msg) max_bytes = std::max(max_bytes, algo.message_size(*msg));
+          if (msg)
+            max_bytes = std::max(max_bytes, message_size_of(algo, *msg));
         const std::size_t fragments = std::max<std::size_t>(
             1, (max_bytes + bandwidth_bytes - 1) / bandwidth_bytes);
         out.physical_rounds += fragments;

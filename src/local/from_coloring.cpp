@@ -23,23 +23,25 @@ struct ClassMsg {
   bool in_mis = false;
 };
 
-class MisByClasses final : public BroadcastAlgorithm<ClassState, ClassMsg> {
+class MisByClasses {
  public:
+  using State = ClassState;
+  using Msg = ClassMsg;
+
   MisByClasses(const std::vector<std::size_t>& color, std::size_t classes)
       : color_(color), classes_(classes) {}
 
-  ClassState init(VertexId v, const Graph&, Rng&) override {
+  ClassState init(VertexId v, const Graph&, Rng&) {
     ClassState s;
     s.color = color_[v];
     return s;
   }
 
-  std::optional<ClassMsg> emit(VertexId, const ClassState& s) override {
+  std::optional<ClassMsg> emit(VertexId, const ClassState& s) {
     return ClassMsg{s.status == ClassState::kIn};
   }
 
-  void step(VertexId, ClassState& s,
-            std::span<const std::optional<ClassMsg>> inbox, Rng&) override {
+  void step(VertexId, ClassState& s, InboxView<ClassMsg> inbox, Rng&) {
     // Round i decides color class i: a node joins unless an (earlier-
     // class) neighbor is already in.
     if (s.status == ClassState::kUndecided && s.color == s.round) {
@@ -54,7 +56,7 @@ class MisByClasses final : public BroadcastAlgorithm<ClassState, ClassMsg> {
     ++s.round;
   }
 
-  bool halted(VertexId, const ClassState& s) override {
+  bool halted(VertexId, const ClassState& s) {
     return s.round >= classes_;
   }
 
@@ -74,23 +76,24 @@ struct ReduceMsg {
   std::size_t color = 0;
 };
 
-class ReduceByClasses final
-    : public BroadcastAlgorithm<ReduceState, ReduceMsg> {
+class ReduceByClasses {
  public:
+  using State = ReduceState;
+  using Msg = ReduceMsg;
+
   ReduceByClasses(const std::vector<std::size_t>& color, std::size_t classes,
                   std::size_t target)
       : color_(color), classes_(classes), target_(target) {}
 
-  ReduceState init(VertexId v, const Graph&, Rng&) override {
+  ReduceState init(VertexId v, const Graph&, Rng&) {
     return ReduceState{color_[v], 0};
   }
 
-  std::optional<ReduceMsg> emit(VertexId, const ReduceState& s) override {
+  std::optional<ReduceMsg> emit(VertexId, const ReduceState& s) {
     return ReduceMsg{s.color};
   }
 
-  void step(VertexId, ReduceState& s,
-            std::span<const std::optional<ReduceMsg>> inbox, Rng&) override {
+  void step(VertexId, ReduceState& s, InboxView<ReduceMsg> inbox, Rng&) {
     // Round i eliminates color class target_ + i: those nodes take the
     // smallest color < target_ unused by neighbors (exists: <= Δ taken).
     const std::size_t eliminated = target_ + s.round;
@@ -106,7 +109,7 @@ class ReduceByClasses final
     ++s.round;
   }
 
-  bool halted(VertexId, const ReduceState& s) override {
+  bool halted(VertexId, const ReduceState& s) {
     return target_ + s.round >= classes_;
   }
 

@@ -78,23 +78,25 @@ std::size_t poly_eval(std::size_t color, std::size_t q, std::size_t d,
   return acc;
 }
 
-class LinialAlgorithm final
-    : public BroadcastAlgorithm<std::size_t, std::size_t> {
+class LinialAlgorithm {
  public:
+  using State = std::size_t;
+  using Msg = std::size_t;
+
   explicit LinialAlgorithm(std::vector<StepParams> schedule)
       : schedule_(std::move(schedule)) {}
 
-  std::size_t init(VertexId v, const Graph&, Rng&) override {
+  std::size_t init(VertexId v, const Graph&, Rng&) {
     round_of_.push_back(0);
     return v;  // the trivial coloring by unique ids
   }
 
-  std::optional<std::size_t> emit(VertexId, const std::size_t& color) override {
+  std::optional<std::size_t> emit(VertexId, const std::size_t& color) {
     return color;
   }
 
-  void step(VertexId v, std::size_t& color,
-            std::span<const std::optional<std::size_t>> inbox, Rng&) override {
+  void step(VertexId v, std::size_t& color, InboxView<std::size_t> inbox,
+            Rng&) {
     const std::size_t round = round_of_[v]++;
     PSL_CHECK(round < schedule_.size());
     const auto [q, d, new_range] = schedule_[round];
@@ -115,7 +117,7 @@ class LinialAlgorithm final
     color = x * q + poly_eval(color, q, d, x);
   }
 
-  bool halted(VertexId v, const std::size_t&) override {
+  bool halted(VertexId v, const std::size_t&) {
     return round_of_[v] >= schedule_.size();
   }
 

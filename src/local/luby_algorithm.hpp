@@ -27,15 +27,18 @@ struct LubyMsg {
   bool joined = false;
 };
 
-class LubyAlgorithm final : public BroadcastAlgorithm<LubyState, LubyMsg> {
+class LubyAlgorithm {
  public:
-  LubyState init(VertexId, const Graph&, Rng& rng) override {
+  using State = LubyState;
+  using Msg = LubyMsg;
+
+  LubyState init(VertexId, const Graph&, Rng& rng) {
     LubyState s;
     s.priority = rng.next_u64();
     return s;
   }
 
-  std::optional<LubyMsg> emit(VertexId v, const LubyState& s) override {
+  std::optional<LubyMsg> emit(VertexId v, const LubyState& s) {
     LubyMsg m;
     m.undecided = (s.status == LubyStatus::kUndecided);
     m.priority = s.priority;
@@ -44,8 +47,7 @@ class LubyAlgorithm final : public BroadcastAlgorithm<LubyState, LubyMsg> {
     return m;
   }
 
-  void step(VertexId v, LubyState& s,
-            std::span<const std::optional<LubyMsg>> inbox, Rng& rng) override {
+  void step(VertexId v, LubyState& s, InboxView<LubyMsg> inbox, Rng& rng) {
     if (s.status == LubyStatus::kIn) {
       // Joined last round; the announcement was emitted from the pre-round
       // state, so the iteration can close for this node.
@@ -84,7 +86,7 @@ class LubyAlgorithm final : public BroadcastAlgorithm<LubyState, LubyMsg> {
     }
   }
 
-  bool halted(VertexId, const LubyState& s) override {
+  bool halted(VertexId, const LubyState& s) {
     // A node that joined must still announce once, hence the phase check.
     return s.status != LubyStatus::kUndecided &&
            s.phase == LubyPhase::kPriority && !s.tentative_join;

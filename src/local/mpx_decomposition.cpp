@@ -23,11 +23,14 @@ struct MpxMsg {
   VertexId center = 0;
 };
 
-class MpxAlgorithm final : public BroadcastAlgorithm<MpxState, MpxMsg> {
+class MpxAlgorithm {
  public:
+  using State = MpxState;
+  using Msg = MpxMsg;
+
   explicit MpxAlgorithm(double beta) : beta_(beta) {}
 
-  MpxState init(VertexId v, const Graph&, Rng& rng) override {
+  MpxState init(VertexId v, const Graph&, Rng& rng) {
     MpxState s;
     s.delta = rng.next_exponential(beta_);
     s.best_key = -s.delta;  // own offer: dist 0 - delta_v
@@ -35,12 +38,11 @@ class MpxAlgorithm final : public BroadcastAlgorithm<MpxState, MpxMsg> {
     return s;
   }
 
-  std::optional<MpxMsg> emit(VertexId, const MpxState& s) override {
+  std::optional<MpxMsg> emit(VertexId, const MpxState& s) {
     return MpxMsg{s.best_key, s.best_center};
   }
 
-  void step(VertexId, MpxState& s,
-            std::span<const std::optional<MpxMsg>> inbox, Rng&) override {
+  void step(VertexId, MpxState& s, InboxView<MpxMsg> inbox, Rng&) {
     s.changed = false;
     for (const auto& m : inbox) {
       if (!m) continue;
@@ -54,7 +56,7 @@ class MpxAlgorithm final : public BroadcastAlgorithm<MpxState, MpxMsg> {
     }
   }
 
-  bool halted(VertexId, const MpxState&) override {
+  bool halted(VertexId, const MpxState&) {
     // Termination is handled by the round cap in mpx_clustering: a node
     // cannot locally know that no better offer is still in flight.
     return false;

@@ -19,13 +19,18 @@
 // from independent substreams of one seed, so runs are reproducible.
 //
 // Each round is two sweeps over the vertices on the calling thread: every
-// node emits from its pre-round state, then every node steps on its
-// neighbors' messages.  The model charges rounds, not host time, and each
-// vertex owns a dedicated RNG substream, so a seed fixes the whole run.
-// Algorithm implementations must keep emit/step/halted free of state
-// shared between vertices outside the vertex's own State, or a step could
-// see a neighbor's post-round state (all in-tree algorithms are;
+// node emits from its pre-round state into the round's outbox, then every
+// node steps on its neighbors' entries of that outbox, read in place
+// through an InboxView.  The model charges rounds, not host time, and
+// each vertex owns a dedicated RNG substream, so a seed fixes the whole
+// run.  Algorithm implementations must keep emit/step/halted free of
+// state shared between vertices outside the vertex's own State, or a step
+// could see a neighbor's post-round state (all in-tree algorithms are;
 // per-vertex-slot members like Linial's round table are fine).
+//
+// An algorithm is any type that models the BroadcastAlgorithm concept
+// below; run_local is a template on that type, so its calls are direct
+// and the compiler sees each algorithm's emit/step/halted bodies.
 //
 // This is the library's only round loop.  Models that bill the same
 // rounds differently pass a round observer: run_congest()
@@ -34,6 +39,7 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -46,39 +52,87 @@
 
 namespace pslocal {
 
-/// A broadcast LOCAL algorithm over node states of type State and messages
-/// of type Msg.  Implementations override the four virtuals; the simulator
-/// owns the synchronous schedule.
-template <typename State, typename Msg>
-class BroadcastAlgorithm {
+/// What a node receives in one round: inbox[i] is the message of
+/// g.neighbors(v)[i], or nullopt if that neighbor stayed silent.  A view
+/// into the round's outbox through v's neighbor row; it copies nothing
+/// and is valid only during the step it is passed to.
+template <typename Msg>
+class InboxView {
  public:
-  virtual ~BroadcastAlgorithm() = default;
+  InboxView(std::span<const VertexId> neighbors,
+            std::span<const std::optional<Msg>> outbox)
+      : neighbors_(neighbors), outbox_(outbox.data()) {}
 
-  /// Initial state of node v (round 0, before any communication).
-  [[nodiscard]] virtual State init(VertexId v, const Graph& g, Rng& rng) = 0;
+  [[nodiscard]] std::size_t size() const { return neighbors_.size(); }
 
-  /// Message broadcast by a node this round; nullopt = stay silent.
-  [[nodiscard]] virtual std::optional<Msg> emit(VertexId v,
-                                                const State& state) = 0;
-
-  /// State transition: inbox[i] is the message of g.neighbors(v)[i]
-  /// (nullopt if that neighbor stayed silent).
-  virtual void step(VertexId v, State& state,
-                    std::span<const std::optional<Msg>> inbox, Rng& rng) = 0;
-
-  /// A halted node neither changes state nor needs more rounds.  The
-  /// simulation stops when every node has halted (it still emits, so
-  /// neighbors can read final outputs).
-  [[nodiscard]] virtual bool halted(VertexId v, const State& state) = 0;
-
-  /// Payload size of a message in bytes, for the simulator's bandwidth
-  /// accounting.  LOCAL allows unbounded messages — the accounting shows
-  /// where a bandwidth-limited model (CONGEST) would diverge.  Override
-  /// for variable-size messages; the default charges the static size.
-  [[nodiscard]] virtual std::size_t message_size(const Msg&) const {
-    return sizeof(Msg);
+  [[nodiscard]] const std::optional<Msg>& operator[](std::size_t i) const {
+    return outbox_[neighbors_[i]];
   }
+
+  class iterator {
+   public:
+    iterator(const VertexId* at, const std::optional<Msg>* outbox)
+        : at_(at), outbox_(outbox) {}
+    const std::optional<Msg>& operator*() const { return outbox_[*at_]; }
+    iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const VertexId* at_;
+    const std::optional<Msg>* outbox_;
+  };
+
+  [[nodiscard]] iterator begin() const {
+    return {neighbors_.data(), outbox_};
+  }
+  [[nodiscard]] iterator end() const {
+    return {neighbors_.data() + neighbors_.size(), outbox_};
+  }
+
+ private:
+  std::span<const VertexId> neighbors_;
+  const std::optional<Msg>* outbox_;
 };
+
+/// A broadcast LOCAL algorithm A over node states A::State and messages
+/// A::Msg; the simulator owns the synchronous schedule.
+///  * init(v, g, rng): the initial state of node v (round 0, before any
+///    communication).
+///  * emit(v, state): the message v broadcasts this round; nullopt = stay
+///    silent.
+///  * step(v, state, inbox, rng): the state transition on this round's
+///    InboxView.
+///  * halted(v, state): a halted node neither changes state nor needs
+///    more rounds.  The simulation stops when every node has halted (it
+///    still emits, so neighbors can read final outputs).
+///  * message_size(msg), optional: the payload size in bytes, for the
+///    simulator's bandwidth accounting.  LOCAL allows unbounded messages;
+///    the accounting shows where a bandwidth-limited model (CONGEST)
+///    would diverge.  Define it for variable-size messages; without it
+///    message_size_of charges sizeof(Msg).
+template <typename A>
+concept BroadcastAlgorithm = requires(
+    A& algo, VertexId v, const Graph& g, Rng& rng, typename A::State& state,
+    const typename A::State& pre, InboxView<typename A::Msg> inbox) {
+  { algo.init(v, g, rng) } -> std::same_as<typename A::State>;
+  { algo.emit(v, pre) } -> std::same_as<std::optional<typename A::Msg>>;
+  algo.step(v, state, inbox, rng);
+  { algo.halted(v, pre) } -> std::same_as<bool>;
+};
+
+/// The bytes a broadcast of `msg` is charged: algo.message_size(msg) if
+/// the algorithm defines it, else sizeof(Msg).
+template <BroadcastAlgorithm A>
+[[nodiscard]] std::size_t message_size_of(const A& algo,
+                                          const typename A::Msg& msg) {
+  if constexpr (requires { algo.message_size(msg); })
+    return algo.message_size(msg);
+  else
+    return sizeof(typename A::Msg);
+}
 
 template <typename State>
 struct LocalRunResult {
@@ -112,14 +166,14 @@ struct NoRoundObserver {
 
 /// Run the algorithm until every node halts or `max_rounds` is reached.
 /// After each round's emit sweep, `observe(outbox)` runs, where outbox
-/// is a std::span<const std::optional<Msg>> and outbox[v] is what v
-/// broadcasts this round.
-template <typename State, typename Msg,
-          typename RoundObserver = NoRoundObserver>
-LocalRunResult<State> run_local(const Graph& g,
-                                BroadcastAlgorithm<State, Msg>& algo,
-                                std::uint64_t seed, std::size_t max_rounds,
-                                RoundObserver&& observe = {}) {
+/// is a std::span<const std::optional<Algo::Msg>> and outbox[v] is what
+/// v broadcasts this round.
+template <BroadcastAlgorithm Algo, typename RoundObserver = NoRoundObserver>
+LocalRunResult<typename Algo::State> run_local(const Graph& g, Algo& algo,
+                                               std::uint64_t seed,
+                                               std::size_t max_rounds,
+                                               RoundObserver&& observe = {}) {
+  using Msg = typename Algo::Msg;
   PSL_OBS_SPAN("local.run");
   const auto& obs_metrics = detail::LocalSimMetrics::get();
   obs_metrics.runs.add(1);
@@ -129,7 +183,7 @@ LocalRunResult<State> run_local(const Graph& g,
   node_rng.reserve(n);
   for (VertexId v = 0; v < n; ++v) node_rng.push_back(base.split(v));
 
-  LocalRunResult<State> run;
+  LocalRunResult<typename Algo::State> run;
   // init runs in vertex order: some algorithms size per-vertex tables
   // here, and the order is part of the seeded contract.
   run.states.reserve(n);
@@ -143,7 +197,7 @@ LocalRunResult<State> run_local(const Graph& g,
   };
 
   std::vector<std::optional<Msg>> outbox(n);
-  std::vector<std::optional<Msg>> inbox;
+  const std::span<const std::optional<Msg>> sent_box(outbox);
   while (run.rounds < max_rounds) {
     if (all_halted()) {
       run.all_halted = true;
@@ -160,7 +214,7 @@ LocalRunResult<State> run_local(const Graph& g,
       for (VertexId v = 0; v < n; ++v) {
         outbox[v] = algo.emit(v, run.states[v]);
         if (!outbox[v]) continue;
-        const std::size_t bytes = algo.message_size(*outbox[v]);
+        const std::size_t bytes = message_size_of(algo, *outbox[v]);
         ++sent;
         total_bytes += bytes;
         run.max_message_bytes = std::max(run.max_message_bytes, bytes);
@@ -168,17 +222,15 @@ LocalRunResult<State> run_local(const Graph& g,
     }
     run.messages_sent += sent;
     run.total_message_bytes += total_bytes;
-    observe(std::span<const std::optional<Msg>>(outbox));
+    observe(sent_box);
 
-    // ...then everyone steps on its neighbors' messages.
+    // ...then everyone steps on its neighbors' messages, read in place.
     {
       PSL_OBS_SPAN("local.step");
       for (VertexId v = 0; v < n; ++v) {
         if (algo.halted(v, run.states[v])) continue;
-        const auto nb = g.neighbors(v);
-        inbox.assign(nb.size(), std::nullopt);
-        for (std::size_t i = 0; i < nb.size(); ++i) inbox[i] = outbox[nb[i]];
-        algo.step(v, run.states[v], inbox, node_rng[v]);
+        algo.step(v, run.states[v], InboxView<Msg>(g.neighbors(v), sent_box),
+                  node_rng[v]);
       }
     }
     obs_metrics.rounds.add(1);

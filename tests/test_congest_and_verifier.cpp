@@ -14,18 +14,20 @@ struct FloodState {
   std::size_t round = 0;
 };
 
-class Flood final : public BroadcastAlgorithm<FloodState, int> {
+class Flood {
  public:
+  using State = FloodState;
+  using Msg = int;
+
   explicit Flood(std::size_t stop) : stop_(stop) {}
-  FloodState init(VertexId v, const Graph&, Rng&) override {
+  FloodState init(VertexId v, const Graph&, Rng&) {
     return FloodState{v == 0, 0};
   }
-  std::optional<int> emit(VertexId, const FloodState& s) override {
+  std::optional<int> emit(VertexId, const FloodState& s) {
     if (s.informed) return 1;
     return std::nullopt;
   }
-  void step(VertexId, FloodState& s, std::span<const std::optional<int>> inbox,
-            Rng&) override {
+  void step(VertexId, FloodState& s, InboxView<int> inbox, Rng&) {
     ++s.round;
     if (s.informed) return;
     for (const auto& m : inbox)
@@ -34,7 +36,7 @@ class Flood final : public BroadcastAlgorithm<FloodState, int> {
         return;
       }
   }
-  bool halted(VertexId, const FloodState& s) override {
+  bool halted(VertexId, const FloodState& s) {
     return s.round >= stop_;
   }
 
@@ -43,23 +45,25 @@ class Flood final : public BroadcastAlgorithm<FloodState, int> {
 };
 
 // Variable-size messages: node v broadcasts a v-byte payload.
-class FatFlood final : public BroadcastAlgorithm<FloodState, std::size_t> {
+class FatFlood {
  public:
+  using State = FloodState;
+  using Msg = std::size_t;
+
   explicit FatFlood(std::size_t stop) : stop_(stop) {}
-  FloodState init(VertexId v, const Graph&, Rng&) override {
+  FloodState init(VertexId v, const Graph&, Rng&) {
     return FloodState{v == 0, 0};
   }
-  std::optional<std::size_t> emit(VertexId v, const FloodState&) override {
+  std::optional<std::size_t> emit(VertexId v, const FloodState&) {
     return static_cast<std::size_t>(v) + 1;  // declared size v+1
   }
-  void step(VertexId, FloodState& s, std::span<const std::optional<std::size_t>>,
-            Rng&) override {
+  void step(VertexId, FloodState& s, InboxView<std::size_t>, Rng&) {
     ++s.round;
   }
-  bool halted(VertexId, const FloodState& s) override {
+  bool halted(VertexId, const FloodState& s) {
     return s.round >= stop_;
   }
-  std::size_t message_size(const std::size_t& m) const override { return m; }
+  std::size_t message_size(const std::size_t& m) const { return m; }
 
  private:
   std::size_t stop_;

@@ -5,8 +5,13 @@
 #include <algorithm>
 #include <thread>
 
+#include "core/conflict_graph.hpp"
+#include "core/virtual_local.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "hypergraph/generators.hpp"
+#include "local/congest.hpp"
+#include "local/luby_algorithm.hpp"
 
 namespace pslocal {
 namespace {
@@ -19,11 +24,14 @@ struct FloodState {
   std::size_t round = 0;
 };
 
-class FloodAlgorithm final : public BroadcastAlgorithm<FloodState, int> {
+class FloodAlgorithm {
  public:
+  using State = FloodState;
+  using Msg = int;
+
   explicit FloodAlgorithm(std::size_t stop_after) : stop_after_(stop_after) {}
 
-  FloodState init(VertexId v, const Graph&, Rng&) override {
+  FloodState init(VertexId v, const Graph&, Rng&) {
     FloodState s;
     if (v == 0) {
       s.informed = true;
@@ -32,13 +40,12 @@ class FloodAlgorithm final : public BroadcastAlgorithm<FloodState, int> {
     return s;
   }
 
-  std::optional<int> emit(VertexId, const FloodState& s) override {
+  std::optional<int> emit(VertexId, const FloodState& s) {
     if (s.informed) return 1;
     return std::nullopt;  // silence
   }
 
-  void step(VertexId, FloodState& s, std::span<const std::optional<int>> inbox,
-            Rng&) override {
+  void step(VertexId, FloodState& s, InboxView<int> inbox, Rng&) {
     ++s.round;
     if (s.informed) return;
     for (const auto& m : inbox) {
@@ -50,7 +57,7 @@ class FloodAlgorithm final : public BroadcastAlgorithm<FloodState, int> {
     }
   }
 
-  bool halted(VertexId, const FloodState& s) override {
+  bool halted(VertexId, const FloodState& s) {
     return s.round >= stop_after_;
   }
 
@@ -99,28 +106,30 @@ TEST(LocalSimulatorTest, ZeroRoundsWhenEveryoneStartsHalted) {
 
 // Flooding with variable-size broadcasts: informed node v sends v + 1
 // bytes, so the largest payload shows how far the token has got.
-class SizedFlood final : public BroadcastAlgorithm<FloodState, VertexId> {
+class SizedFlood {
  public:
+  using State = FloodState;
+  using Msg = VertexId;
+
   explicit SizedFlood(std::size_t stop_after) : stop_after_(stop_after) {}
 
-  FloodState init(VertexId v, const Graph&, Rng&) override {
+  FloodState init(VertexId v, const Graph&, Rng&) {
     FloodState s;
     s.informed = v == 0;
     return s;
   }
-  std::optional<VertexId> emit(VertexId v, const FloodState& s) override {
+  std::optional<VertexId> emit(VertexId v, const FloodState& s) {
     if (s.informed) return v;
     return std::nullopt;
   }
-  void step(VertexId, FloodState& s,
-            std::span<const std::optional<VertexId>> inbox, Rng&) override {
+  void step(VertexId, FloodState& s, InboxView<VertexId> inbox, Rng&) {
     ++s.round;
     for (const auto& m : inbox) s.informed = s.informed || m.has_value();
   }
-  bool halted(VertexId, const FloodState& s) override {
+  bool halted(VertexId, const FloodState& s) {
     return s.round >= stop_after_;
   }
-  std::size_t message_size(const VertexId& v) const override { return v + 1; }
+  std::size_t message_size(const VertexId& v) const { return v + 1; }
 
  private:
   std::size_t stop_after_;
@@ -164,20 +173,22 @@ struct RandState {
   bool done = false;
 };
 
-class RandAlgorithm final : public BroadcastAlgorithm<RandState, int> {
+class RandAlgorithm {
  public:
-  RandState init(VertexId, const Graph&, Rng& rng) override {
+  using State = RandState;
+  using Msg = int;
+
+  RandState init(VertexId, const Graph&, Rng& rng) {
     return RandState{rng.next_u64(), false};
   }
-  std::optional<int> emit(VertexId, const RandState&) override {
+  std::optional<int> emit(VertexId, const RandState&) {
     return std::nullopt;
   }
-  void step(VertexId, RandState& s, std::span<const std::optional<int>>,
-            Rng& rng) override {
+  void step(VertexId, RandState& s, InboxView<int>, Rng& rng) {
     s.value ^= rng.next_u64();
     s.done = true;
   }
-  bool halted(VertexId, const RandState& s) override { return s.done; }
+  bool halted(VertexId, const RandState& s) { return s.done; }
 };
 
 TEST(LocalSimulatorTest, MessageAccountingCountsPayloads) {
@@ -213,6 +224,98 @@ TEST(LocalSimulatorTest, DeterministicPerSeedAndIndependentPerNode) {
   EXPECT_EQ(same_seed_equal, 10u);
   EXPECT_EQ(diff_seed_equal, 0u);
   EXPECT_EQ(cross_node_equal, 0u);
+}
+
+// Inbox-order probe: even-id vertices broadcast their id and odd-id ones
+// stay silent, so each inbox entry names its sender.  Every step checks
+// its inbox against g.neighbors(v), by index and by range-for, for two
+// rounds.
+struct ProbeState {
+  std::size_t round = 0;
+  std::size_t checked = 0;     // inbox entries compared
+  std::size_t mismatches = 0;  // wrong size, entry or iteration length
+};
+
+class InboxProbe {
+ public:
+  using State = ProbeState;
+  using Msg = VertexId;
+
+  explicit InboxProbe(const Graph& g) : g_(g) {}
+
+  ProbeState init(VertexId, const Graph&, Rng&) { return {}; }
+  std::optional<VertexId> emit(VertexId v, const ProbeState&) {
+    if (v % 2 == 0) return v;
+    return std::nullopt;
+  }
+  void step(VertexId v, ProbeState& s, InboxView<VertexId> inbox, Rng&) {
+    const auto nb = g_.neighbors(v);
+    if (inbox.size() != g_.degree(v)) ++s.mismatches;
+    std::size_t i = 0;
+    for (const std::optional<VertexId>& m : inbox) {
+      if (i == nb.size()) {
+        ++s.mismatches;
+        break;
+      }
+      const auto sent =
+          nb[i] % 2 == 0 ? std::optional<VertexId>(nb[i]) : std::nullopt;
+      if (m != sent || inbox[i] != sent) ++s.mismatches;
+      ++i;
+    }
+    if (i != nb.size()) ++s.mismatches;
+    s.checked += i;
+    ++s.round;
+  }
+  bool halted(VertexId, const ProbeState& s) { return s.round >= 2; }
+
+ private:
+  const Graph& g_;
+};
+
+// Lacks halted(), so it is no BroadcastAlgorithm.
+struct NoHalted {
+  using State = int;
+  using Msg = int;
+  int init(VertexId, const Graph&, Rng&) { return 0; }
+  std::optional<int> emit(VertexId, const int&) { return 0; }
+  void step(VertexId, int&, InboxView<int>, Rng&) {}
+};
+
+static_assert(BroadcastAlgorithm<detail::LubyAlgorithm>);
+static_assert(BroadcastAlgorithm<InboxProbe>);
+static_assert(!BroadcastAlgorithm<NoHalted>);
+
+void expect_inbox_order(const Graph& g,
+                        const std::vector<ProbeState>& states) {
+  ASSERT_EQ(states.size(), g.vertex_count());
+  std::size_t checked = 0;
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    EXPECT_EQ(states[v].round, 2u) << "v=" << v;
+    EXPECT_EQ(states[v].mismatches, 0u) << "v=" << v;
+    checked += states[v].checked;
+  }
+  EXPECT_EQ(checked, 2 * 2 * g.edge_count());  // 2 rounds of 2|E| entries
+}
+
+TEST(LocalSimulatorTest, InboxIsReadInNeighborOrder) {
+  Rng gnp_rng(11);
+  const Graph g = gnp(80, 0.1, gnp_rng);
+  PlantedCfParams params;
+  params.n = 48;
+  params.m = 40;
+  params.k = 2;
+  Rng planted_rng(1);
+  const ConflictGraph cg(planted_cf_colorable(params, planted_rng).hypergraph,
+                         params.k);
+  for (const Graph* graph : {&g, &cg.graph()}) {
+    InboxProbe algo(*graph);
+    expect_inbox_order(*graph, run_local(*graph, algo, 1, 10).states);
+    expect_inbox_order(
+        *graph,
+        run_congest(*graph, algo, 1, 10, /*bandwidth_bytes=*/4).local.states);
+  }
+  InboxProbe hosted(cg.graph());
+  expect_inbox_order(cg.graph(), run_local_on_hosts(cg, hosted, 1, 10).states);
 }
 
 }  // namespace

@@ -18,23 +18,25 @@ struct GossipState {
   std::size_t round = 0;
 };
 
-class MinGossip final : public BroadcastAlgorithm<GossipState, std::size_t> {
+class MinGossip {
  public:
+  using State = GossipState;
+  using Msg = std::size_t;
+
   explicit MinGossip(std::size_t rounds) : rounds_(rounds) {}
 
-  GossipState init(VertexId v, const Graph&, Rng&) override {
+  GossipState init(VertexId v, const Graph&, Rng&) {
     return GossipState{v, 0};
   }
-  std::optional<std::size_t> emit(VertexId, const GossipState& s) override {
+  std::optional<std::size_t> emit(VertexId, const GossipState& s) {
     return s.best;
   }
-  void step(VertexId, GossipState& s,
-            std::span<const std::optional<std::size_t>> inbox, Rng&) override {
+  void step(VertexId, GossipState& s, InboxView<std::size_t> inbox, Rng&) {
     for (const auto& m : inbox)
       if (m && *m < s.best) s.best = *m;
     ++s.round;
   }
-  bool halted(VertexId, const GossipState& s) override {
+  bool halted(VertexId, const GossipState& s) {
     return s.round >= rounds_;
   }
 
@@ -50,27 +52,29 @@ struct NoiseState {
   std::size_t round = 0;
 };
 
-class NoiseMix final : public BroadcastAlgorithm<NoiseState, std::uint64_t> {
+class NoiseMix {
  public:
+  using State = NoiseState;
+  using Msg = std::uint64_t;
+
   explicit NoiseMix(std::size_t rounds) : rounds_(rounds) {}
 
-  NoiseState init(VertexId, const Graph&, Rng& rng) override {
+  NoiseState init(VertexId, const Graph&, Rng& rng) {
     NoiseState s;
     s.mine = rng.next_u64();
     return s;
   }
-  std::optional<std::uint64_t> emit(VertexId, const NoiseState& s) override {
+  std::optional<std::uint64_t> emit(VertexId, const NoiseState& s) {
     return s.mine;
   }
-  void step(VertexId, NoiseState& s,
-            std::span<const std::optional<std::uint64_t>> inbox,
-            Rng& rng) override {
+  void step(VertexId, NoiseState& s, InboxView<std::uint64_t> inbox,
+            Rng& rng) {
     for (const auto& m : inbox)
       if (m) s.acc ^= *m;
     s.mine = rng.next_u64();
     ++s.round;
   }
-  bool halted(VertexId, const NoiseState& s) override {
+  bool halted(VertexId, const NoiseState& s) {
     return s.round >= rounds_;
   }
 
