@@ -2,8 +2,9 @@
 // rounds, message accounting and a hash of each output, against
 // tests/golden/local_runs.txt.  The other LOCAL tests check properties
 // within one build (proper, maximal, deterministic per seed); those
-// still pass when a change moves an RNG draw, a halted check or the
-// inbox order of one algorithm.  This one fails then.
+// still pass when a change moves an RNG draw or a halted check of one
+// algorithm.  This one fails then.  (Every in-tree algorithm ignores
+// inbox order; LocalSimulatorTest.InboxIsReadInNeighborOrder pins it.)
 //
 // Luby runs on the G_k of MissPayloadGoldenTest's four planted
 // instances (and, on the first, under CONGEST and hosted on H); the
@@ -16,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +24,7 @@
 #include "coloring/local_verifier.hpp"
 #include "core/conflict_graph.hpp"
 #include "core/virtual_local.hpp"
+#include "golden.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
 #include "local/coloring_local.hpp"
@@ -73,8 +74,7 @@ std::string digest(const Range& values) {
   return digest(values, [](auto x) { return static_cast<std::uint64_t>(x); });
 }
 
-template <typename State>
-std::vector<VertexId> luby_set(const std::vector<State>& states) {
+std::vector<VertexId> luby_set(const std::vector<detail::LubyState>& states) {
   std::vector<VertexId> is;
   for (VertexId v = 0; v < states.size(); ++v)
     if (states[v].status == detail::LubyStatus::kIn) is.push_back(v);
@@ -183,23 +183,8 @@ std::string local_runs() {
   return out.str();
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 TEST(LocalRunsGoldenTest, MatchesCheckedInLines) {
-  const std::string actual = local_runs();
-  const std::string expected =
-      read_file(std::string(PSLOCAL_GOLDEN_DIR) + "/local_runs.txt");
-  if (actual != expected) {
-    std::ofstream("local_runs.txt.actual", std::ios::binary) << actual;
-    ADD_FAILURE() << "LOCAL runs differ from the golden; the produced "
-                     "lines are in local_runs.txt.actual";
-  }
+  golden::expect_matches("local_runs.txt", local_runs());
 }
 
 }  // namespace

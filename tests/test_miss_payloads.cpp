@@ -11,10 +11,9 @@
 // payload change, review that file and copy it over the golden.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "golden.hpp"
 #include "hypergraph/generators.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/request.hpp"
@@ -60,23 +59,8 @@ std::string miss_payloads() {
   return out;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 TEST(MissPayloadGoldenTest, MatchesCheckedInBytes) {
-  const std::string actual = miss_payloads();
-  const std::string expected =
-      read_file(std::string(PSLOCAL_GOLDEN_DIR) + "/miss_payloads.txt");
-  if (actual != expected) {
-    std::ofstream("miss_payloads.txt.actual", std::ios::binary) << actual;
-    ADD_FAILURE() << "miss-path payloads differ from the golden; the "
-                     "produced bytes are in miss_payloads.txt.actual";
-  }
+  golden::expect_matches("miss_payloads.txt", miss_payloads());
 }
 
 }  // namespace

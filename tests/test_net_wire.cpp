@@ -6,12 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "hypergraph/generators.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -622,17 +622,9 @@ TEST(RequestFrameGoldenTest, MatchesCheckedInBytesAndDecodesBack) {
     frame.payload = encode_request(req);
     actual += to_hex(encode_frame(frame)) + '\n';
   }
-  std::ifstream in(std::string(PSLOCAL_GOLDEN_DIR) + "/request_frames.txt");
-  EXPECT_TRUE(in.good()) << "cannot open request_frames.txt";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  if (actual != golden.str()) {
-    std::ofstream("request_frames.txt.actual") << actual;
-    ADD_FAILURE() << "request frames differ from the golden; the produced "
-                     "lines are in request_frames.txt.actual";
-  }
+  golden::expect_matches("request_frames.txt", actual);
 
-  std::istringstream lines(golden.str());
+  std::istringstream lines(golden::read("request_frames.txt"));
   std::string line;
   std::size_t i = 0;
   for (; std::getline(lines, line); ++i) {
